@@ -1,0 +1,71 @@
+"""Exact solutions of x**2 - d*y**2 = 1 and the algebra that makes them fast.
+
+The package keeps every computation in Z, Q, or Q(sqrt(d)) -- there is
+no floating point anywhere.  It offers three independent routes to the
+n-th solution (continued-fraction convergents, hyperbola-group powers,
+and Redei rational functions), cross-checks them, and ships a small CLI
+(`pellredei`) plus a benchmark contrasting the linear fold with the
+logarithmic strategies.
+"""
+
+from .contfrac import Convergent, SqrtExpansion, convergents, nth_convergent, sqrt_cf
+from .exact import (
+    INF,
+    Infinity,
+    PerfectSquareError,
+    QuadraticElement,
+    decimal_digits,
+    is_perfect_square,
+    isqrt,
+    require_nonsquare,
+)
+from .hyperbola import HyperbolaPoint, from_parameter, to_parameter
+from .projline import LineGroup
+from .redei import RedeiPair, dickson, redei_pair_fast, redei_pair_linear, redei_rational
+from .solver import (
+    ConsistencyError,
+    CorrespondenceReport,
+    PellSolution,
+    PellSolver,
+    Strategy,
+    correspondence_check,
+    minimal_solution,
+    nth_solution,
+    solutions,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "INF",
+    "ConsistencyError",
+    "Convergent",
+    "CorrespondenceReport",
+    "HyperbolaPoint",
+    "Infinity",
+    "LineGroup",
+    "PellSolution",
+    "PellSolver",
+    "PerfectSquareError",
+    "QuadraticElement",
+    "RedeiPair",
+    "SqrtExpansion",
+    "Strategy",
+    "convergents",
+    "correspondence_check",
+    "decimal_digits",
+    "dickson",
+    "from_parameter",
+    "is_perfect_square",
+    "isqrt",
+    "minimal_solution",
+    "nth_convergent",
+    "nth_solution",
+    "redei_pair_fast",
+    "redei_pair_linear",
+    "redei_rational",
+    "require_nonsquare",
+    "solutions",
+    "sqrt_cf",
+    "to_parameter",
+]

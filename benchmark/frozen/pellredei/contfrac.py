@@ -1,0 +1,106 @@
+"""Periodic continued fraction of sqrt(d) and its convergent stream.
+
+All arithmetic is on integers.  The expansion is produced by the classical
+surd recurrence on states (m, s), where the k-th complete quotient is
+(m + sqrt(d))/s; s divides d - m**2 at every step, so the division below
+is exact and no irrational value is ever touched.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator
+
+from .exact import PerfectSquareError, isqrt
+
+__all__ = ["Convergent", "SqrtExpansion", "convergents", "nth_convergent", "sqrt_cf"]
+
+
+@dataclass(frozen=True)
+class SqrtExpansion:
+    """First period of the expansion sqrt(d) = [a0; a1, a2, ...].
+
+    ``period`` holds one full period (a1, ..., aL); its last entry is
+    always 2*a0 and its interior is palindromic.
+    """
+
+    d: int
+    a0: int
+    period: tuple[int, ...]
+
+    @property
+    def period_length(self) -> int:
+        return len(self.period)
+
+    def partial_quotients(self) -> Iterator[int]:
+        """a0 followed by the period repeated forever."""
+        yield self.a0
+        yield from itertools.cycle(self.period)
+
+
+def sqrt_cf(d: int) -> SqrtExpansion:
+    """Expand sqrt(d) for a positive nonsquare integer d.
+
+    States step as
+
+        a = (a0 + m) // s,   m' = a*s - m,   s' = (d - m'**2) // s
+
+    from (m, s) = (a0, d - a0**2).  The period is complete exactly when
+    the state returns to this initial value.
+    """
+    if d <= 0:
+        raise ValueError(f"d must be positive, got {d}")
+    a0 = isqrt(d)
+    if a0 * a0 == d:
+        raise PerfectSquareError(f"d = {d} is a perfect square")
+    m, s = a0, d - a0 * a0
+    first = (m, s)
+    period = []
+    while True:
+        a = (a0 + m) // s
+        period.append(a)
+        m = a * s - m
+        s = (d - m * m) // s
+        if (m, s) == first:
+            break
+    # Canonical closing quotient; a failure here means the recurrence broke.
+    assert period[-1] == 2 * a0
+    return SqrtExpansion(d, a0, tuple(period))
+
+
+@dataclass(frozen=True)
+class Convergent:
+    """The k-th convergent p/q of the expansion (k counts from 0)."""
+
+    k: int
+    p: int
+    q: int
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+
+def convergents(cf: SqrtExpansion) -> Iterator[Convergent]:
+    """Unbounded lazy stream of convergents p_k/q_k, k = 0, 1, 2, ...
+
+    p_k = a_k*p_{k-1} + p_{k-2} and likewise for q, with the usual seeds.
+    Each generator is an independent single-consumer cursor.
+    """
+    p_km1, p_km2 = 1, 0
+    q_km1, q_km2 = 0, 1
+    for k, a in enumerate(cf.partial_quotients()):
+        p = a * p_km1 + p_km2
+        q = a * q_km1 + q_km2
+        yield Convergent(k, p, q)
+        p_km2, p_km1 = p_km1, p
+        q_km2, q_km1 = q_km1, q
+
+
+def nth_convergent(cf: SqrtExpansion, k: int) -> Convergent:
+    """Convergent at index k (0-based)."""
+    if k < 0:
+        raise ValueError(f"convergent index must be nonnegative, got {k}")
+    return next(itertools.islice(convergents(cf), k, None))

@@ -1,0 +1,200 @@
+"""Exact arithmetic foundations.
+
+Integers are plain Python ints (arbitrary precision), rationals are
+``fractions.Fraction`` (always reduced, positive denominator).  This module
+adds the two values those types cannot express: the point at infinity of
+the projective rational line, and elements a + b*sqrt(d) of the quadratic
+field Q(sqrt(d)).  No floating point is used anywhere.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+
+__all__ = [
+    "INF",
+    "Infinity",
+    "PerfectSquareError",
+    "QuadraticElement",
+    "decimal_digits",
+    "is_perfect_square",
+    "isqrt",
+    "require_nonsquare",
+]
+
+
+class PerfectSquareError(ValueError):
+    """Raised where a positive nonsquare parameter d is required."""
+
+
+class Infinity:
+    """The point at infinity of the projective rational line.
+
+    A single distinguished value (use the module constant ``INF``), kept
+    deliberately outside the Fraction hierarchy: ordinary arithmetic on it
+    is a bug, only the group operations are allowed to consume it.  Its
+    one algebraic ability is negation, which fixes it (INF is the group
+    identity and its own inverse).
+    """
+
+    __slots__ = ()
+    _instance: "Infinity | None" = None
+
+    def __new__(cls) -> "Infinity":
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "INF"
+
+    def __neg__(self) -> "Infinity":
+        return self
+
+
+INF = Infinity()
+
+# A point of Q ∪ {INF}; what the group operations consume and produce.
+ProjectiveRational = Fraction | Infinity
+
+
+def is_perfect_square(n: int) -> bool:
+    """True iff n is the square of an integer (negatives never are)."""
+    if n < 0:
+        return False
+    r = isqrt(n)
+    return r * r == n
+
+
+def decimal_digits(n: int) -> int:
+    """Number of decimal digits of |n| (0 counts as one digit).
+
+    Works on integers far beyond the interpreter's int-to-str conversion
+    limit: estimate from the bit length, then correct by exact comparison
+    with powers of ten.
+    """
+    n = abs(n)
+    if n < 10:
+        return 1
+    est = n.bit_length() * 30103 // 100000
+    while 10**est > n:
+        est -= 1
+    while 10 ** (est + 1) <= n:
+        est += 1
+    return est + 1
+
+
+def require_nonsquare(d: int) -> int:
+    """Validate a radicand: d must be a positive nonsquare integer."""
+    if d <= 0:
+        raise ValueError(f"d must be positive, got {d}")
+    if is_perfect_square(d):
+        raise PerfectSquareError(f"d = {d} is a perfect square")
+    return d
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticElement:
+    """An element a + b*sqrt(d) of Q(sqrt(d)), d a positive nonsquare.
+
+    Immutable; mixed arithmetic with ints and Fractions embeds them as
+    rational elements.  Elements of fields with different d never mix,
+    except that purely rational values compare equal across fields.
+    """
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+    def __post_init__(self) -> None:
+        require_nonsquare(self.d)
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+
+    def _lift(self, other: object) -> "QuadraticElement | None":
+        if isinstance(other, QuadraticElement):
+            if other.d != self.d:
+                raise ValueError(f"mixed radicands: sqrt({self.d}) vs sqrt({other.d})")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadraticElement(Fraction(other), Fraction(0), self.d)
+        return None
+
+    def __add__(self, other: "int | Fraction | QuadraticElement") -> "QuadraticElement":
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return QuadraticElement(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QuadraticElement":
+        return QuadraticElement(-self.a, -self.b, self.d)
+
+    def __sub__(self, other: "int | Fraction | QuadraticElement") -> "QuadraticElement":
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return QuadraticElement(self.a - o.a, self.b - o.b, self.d)
+
+    def __rsub__(self, other: "int | Fraction | QuadraticElement") -> "QuadraticElement":
+        return (-self) + other
+
+    def __mul__(self, other: "int | Fraction | QuadraticElement") -> "QuadraticElement":
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return QuadraticElement(
+            self.a * o.a + self.d * self.b * o.b,
+            self.a * o.b + self.b * o.a,
+            self.d,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "int | Fraction | QuadraticElement") -> "QuadraticElement":
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other: "int | Fraction | QuadraticElement") -> "QuadraticElement":
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, QuadraticElement):
+            if self.b == 0 == other.b:
+                return self.a == other.a
+            return self.d == other.d and self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
+    def conjugate(self) -> "QuadraticElement":
+        return QuadraticElement(self.a, -self.b, self.d)
+
+    def norm(self) -> Fraction:
+        """Field norm a**2 - d*b**2; multiplicative, nonzero off the zero element."""
+        return self.a * self.a - self.d * self.b * self.b
+
+    def inverse(self) -> "QuadraticElement":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+        return QuadraticElement(self.a / n, -self.b / n, self.d)
+
+    def __repr__(self) -> str:
+        return f"({self.a} + {self.b}*sqrt({self.d}))"

@@ -1,0 +1,205 @@
+"""Integer solutions of x**2 - d*y**2 = 1 by three routes that must agree.
+
+Every positive solution appears among the convergents of sqrt(d): with
+period length L, the minimal one is convergent L - 1 when L is even and
+2L - 1 when L is odd, and the n-th is found by scaling that index with n.
+The solution set is the cyclic group generated by the minimal solution
+inside the hyperbola group, so the n-th solution is equally the n-th
+group power of the minimal point -- or, cheapest of all, the value of an
+even-index Redei rational at the slope parameter of the minimal point.
+
+PellSolver exposes all three; any disagreement raises ConsistencyError
+rather than returning a guess.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+from functools import cached_property
+from typing import Iterator
+
+from .contfrac import SqrtExpansion, nth_convergent, sqrt_cf
+from .exact import Infinity
+from .hyperbola import HyperbolaPoint, to_parameter
+from .redei import redei_pair_fast, redei_rational
+
+__all__ = [
+    "ConsistencyError",
+    "CorrespondenceReport",
+    "PellSolution",
+    "PellSolver",
+    "Strategy",
+    "correspondence_check",
+    "minimal_solution",
+    "nth_solution",
+    "solutions",
+]
+
+
+class ConsistencyError(RuntimeError):
+    """Two supposedly equivalent computations disagreed."""
+
+
+class Strategy(Enum):
+    """How to produce the n-th solution."""
+
+    CONVERGENT = "cf"
+    POWER = "power"
+    REDEI = "redei"
+
+
+@dataclass(frozen=True)
+class PellSolution:
+    """The n-th positive integer solution for radicand d."""
+
+    d: int
+    n: int
+    x: int
+    y: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("solutions are numbered from 1")
+        if self.x < 1 or self.y < 1:
+            raise ValueError("positive solutions only")
+        if self.x * self.x - self.d * self.y * self.y != 1:
+            raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - {self.d}y^2 = 1")
+
+    def point(self) -> HyperbolaPoint:
+        return HyperbolaPoint(self.d, Fraction(self.x), Fraction(self.y))
+
+
+@dataclass(frozen=True)
+class CorrespondenceReport:
+    """Outcome of checking a Redei value against its convergent."""
+
+    d: int
+    n: int
+    period_length: int
+    parity: str
+    convergent_index: int
+    redei_value: Fraction | Infinity
+    convergent_value: Fraction
+    equal: bool
+
+
+class PellSolver:
+    """All solution machinery for one radicand d."""
+
+    def __init__(self, d: int) -> None:
+        self.expansion: SqrtExpansion = sqrt_cf(d)
+        self.d = d
+
+    @property
+    def period_length(self) -> int:
+        return self.expansion.period_length
+
+    @property
+    def fundamental_index(self) -> int:
+        """Convergent index of the minimal solution."""
+        return self.solution_index(1)
+
+    def solution_index(self, n: int) -> int:
+        """Convergent index of the n-th solution (parity rule on the period)."""
+        if n < 1:
+            raise ValueError("solutions are numbered from 1")
+        length = self.period_length
+        if length % 2 == 0:
+            return n * length - 1
+        return 2 * n * length - 1
+
+    @cached_property
+    def fundamental(self) -> PellSolution:
+        conv = nth_convergent(self.expansion, self.fundamental_index)
+        return PellSolution(self.d, 1, conv.p, conv.q)
+
+    def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
+        """The n-th solution by the chosen strategy (n >= 1).
+
+        The Redei route squares the slope parameter of the minimal point
+        up to index 2n, so it needs O(log n) big-integer products; the
+        power route is the same cost on hyperbola points; the convergent
+        route grinds through n*L partial quotients and exists as the
+        independent witness.
+        """
+        if n < 1:
+            raise ValueError("solutions are numbered from 1")
+        if strategy is Strategy.REDEI:
+            base = self.fundamental
+            slope = Fraction(base.x + 1, base.y)
+            pair = redei_pair_fast(self.d, slope, 2 * n)
+            value = pair.ratio
+            x, y = value.numerator, value.denominator
+        elif strategy is Strategy.POWER:
+            pt = self.fundamental.point() ** n
+            if pt.x.denominator != 1 or pt.y.denominator != 1:
+                raise ConsistencyError(f"power strategy left Z at d={self.d}, n={n}")
+            x, y = pt.x.numerator, pt.y.numerator
+        elif strategy is Strategy.CONVERGENT:
+            conv = nth_convergent(self.expansion, self.solution_index(n))
+            x, y = conv.p, conv.q
+        else:
+            raise ValueError(f"unknown strategy: {strategy!r}")
+        if x * x - self.d * y * y != 1:
+            raise ConsistencyError(
+                f"{strategy.value} strategy produced a non-solution at d={self.d}, n={n}"
+            )
+        return PellSolution(self.d, n, x, y)
+
+    def solutions(self) -> Iterator[PellSolution]:
+        """All solutions in increasing order, by repeated composition.
+
+        Each step is one Brahmagupta composition with the minimal
+        solution, so reaching the n-th solution costs n steps: the
+        linear-time baseline the logarithmic strategies are measured
+        against.
+        """
+        base = self.fundamental
+        x, y = base.x, base.y
+        for n in itertools.count(1):
+            yield PellSolution(self.d, n, x, y)
+            x, y = x * base.x + self.d * y * base.y, y * base.x + x * base.y
+
+    def correspondence_check(self, n: int) -> CorrespondenceReport:
+        """Compare the 2n-th Redei value with the matching convergent.
+
+        Both sides equal x_n/y_n, reduced; the report records the raw
+        values so a mismatch is inspectable.
+        """
+        if n < 1:
+            raise ValueError("solutions are numbered from 1")
+        base = self.fundamental
+        slope = to_parameter(base.point())
+        redei_value = redei_rational(self.d, slope, 2 * n)
+        index = self.solution_index(n)
+        conv_value = nth_convergent(self.expansion, index).value
+        length = self.period_length
+        return CorrespondenceReport(
+            d=self.d,
+            n=n,
+            period_length=length,
+            parity="even" if length % 2 == 0 else "odd",
+            convergent_index=index,
+            redei_value=redei_value,
+            convergent_value=conv_value,
+            equal=redei_value == conv_value,
+        )
+
+
+def minimal_solution(d: int) -> PellSolution:
+    return PellSolver(d).fundamental
+
+
+def nth_solution(d: int, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
+    return PellSolver(d).nth_solution(n, strategy)
+
+
+def solutions(d: int) -> Iterator[PellSolution]:
+    return PellSolver(d).solutions()
+
+
+def correspondence_check(d: int, n: int) -> CorrespondenceReport:
+    return PellSolver(d).correspondence_check(n)
