@@ -1,11 +1,11 @@
 """Exact solutions of x**2 - d*y**2 = 1 and the algebra that makes them fast.
 
 The package keeps every computation in Z, Q, or Q(sqrt(d)) -- there is
-no floating point anywhere.  It offers three independent routes to the
-n-th solution (continued-fraction convergents, hyperbola-group powers,
-and Redei rational functions), cross-checks them, and ships a small CLI
-(`pellredei`) plus a benchmark contrasting the linear fold with the
-logarithmic strategies.
+no floating point anywhere.  The redei and power strategies compute the
+n-th solution with one integer Redei kernel in O(log n) products; the
+continued-fraction convergents stay the independent witness.  A small
+CLI (`pellredei`) exposes both, plus a benchmark contrasting the linear
+fold with the logarithmic route.
 """
 
 from .contfrac import Convergent, SqrtExpansion, convergents, nth_convergent, sqrt_cf

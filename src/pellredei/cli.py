@@ -23,31 +23,27 @@ from fractions import Fraction
 from typing import Callable
 
 from .contfrac import convergents
-from .exact import INF, PerfectSquareError, decimal_digits, is_perfect_square
+from .exact import INF, PerfectSquareError, _brief, decimal_digits, is_perfect_square
 from .redei import redei_pair_fast
 from .solver import ConsistencyError, PellSolver, Strategy
 
 __all__ = ["main"]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than low."""
+    bound = "nonnegative" if low == 0 else f"at least {low}"
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+    return parse
 
 
 def _rational(text: str) -> Fraction:
@@ -156,7 +152,7 @@ def _cmd_bench(args: argparse.Namespace) -> None:
     if len(set(outputs.values())) != 1:
         raise ConsistencyError(
             f"strategies disagree at d={args.d}, n={n}: "
-            + ", ".join(f"{name}=({x}, {y})" for name, (x, y) in outputs.items())
+            + ", ".join(f"{name}=({_brief(x)}, {_brief(y)})" for name, (x, y) in outputs.items())
         )
     x, y = outputs["linear"]
     if args.format == "json":
@@ -186,7 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
             if not report.equal:
                 raise ConsistencyError(
                     f"Redei value != convergent at d={d}, n={n}: "
-                    f"{report.redei_value} vs {report.convergent_value}"
+                    f"{_brief(report.redei_value)} vs {_brief(report.convergent_value)}"
                 )
         checked += 1
         parity = "even" if solver.period_length % 2 == 0 else "odd"
@@ -219,35 +215,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("solve", help="n-th positive solution for radicand d")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, default=1)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_at_least(1), default=1)
     p.add_argument("--strategy", choices=tuple(s.value for s in Strategy), default="redei")
     add_format(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("cf", help="continued fraction of sqrt(d) and convergents")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--terms", type=_nonnegative_int, default=0)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--terms", type=_int_at_least(0), default=0)
     add_format(p)
     p.set_defaults(func=_cmd_cf)
 
     p = sub.add_parser("redei", help="Redei pair and rational value at (d, z, n)")
-    p.add_argument("--d", type=_positive_int, required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
     p.add_argument("--z", type=_rational, required=True)
-    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     add_format(p)
     p.set_defaults(func=_cmd_redei)
 
     p = sub.add_parser("bench", help="time the three strategies for the n-max-th solution")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--reps", type=_positive_int, default=3)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--n-max", type=_int_at_least(1), required=True)
+    p.add_argument("--reps", type=_int_at_least(1), default=3)
     add_format(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("verify", help="check Redei values against convergents over a d range")
-    p.add_argument("--d-max", type=_positive_int, default=100)
-    p.add_argument("--n-max", type=_positive_int, default=10)
+    p.add_argument("--d-max", type=_int_at_least(1), default=100)
+    p.add_argument("--n-max", type=_int_at_least(1), default=10)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

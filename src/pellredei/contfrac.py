@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import PerfectSquareError, isqrt
+from .exact import ConsistencyError, PerfectSquareError, _brief, isqrt
 
 __all__ = ["Convergent", "SqrtExpansion", "convergents", "nth_convergent", "sqrt_cf"]
 
@@ -51,10 +51,10 @@ def sqrt_cf(d: int) -> SqrtExpansion:
     the state returns to this initial value.
     """
     if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
+        raise ValueError(f"d must be positive, got {_brief(d)}")
     a0 = isqrt(d)
     if a0 * a0 == d:
-        raise PerfectSquareError(f"d = {d} is a perfect square")
+        raise PerfectSquareError(f"d = {_brief(d)} is a perfect square")
     m, s = a0, d - a0 * a0
     first = (m, s)
     period = []
@@ -65,8 +65,8 @@ def sqrt_cf(d: int) -> SqrtExpansion:
         s = (d - m * m) // s
         if (m, s) == first:
             break
-    # Canonical closing quotient; a failure here means the recurrence broke.
-    assert period[-1] == 2 * a0
+    if period[-1] != 2 * a0:
+        raise ConsistencyError(f"period of sqrt({_brief(d)}) does not close with 2*a0")
     return SqrtExpansion(d, a0, tuple(period))
 
 

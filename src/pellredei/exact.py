@@ -15,6 +15,7 @@ from math import isqrt
 
 __all__ = [
     "INF",
+    "ConsistencyError",
     "Infinity",
     "PerfectSquareError",
     "QuadraticElement",
@@ -27,6 +28,10 @@ __all__ = [
 
 class PerfectSquareError(ValueError):
     """Raised where a positive nonsquare parameter d is required."""
+
+
+class ConsistencyError(RuntimeError):
+    """An internal check failed: a result broke an identity it must satisfy."""
 
 
 class Infinity:
@@ -86,12 +91,25 @@ def decimal_digits(n: int) -> int:
     return est + 1
 
 
+def _brief(value: object) -> str:
+    """str(value) for an error message; a number past 256 bits shows its size.
+
+    str() of an integer beyond the int-to-str conversion limit raises a
+    ValueError of its own, which would hide the error being reported.
+    """
+    if isinstance(value, (int, Fraction)):
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > 256:
+            return f"<{bits}-bit number>"
+    return str(value)
+
+
 def require_nonsquare(d: int) -> int:
     """Validate a radicand: d must be a positive nonsquare integer."""
     if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
+        raise ValueError(f"d must be positive, got {_brief(d)}")
     if is_perfect_square(d):
-        raise PerfectSquareError(f"d = {d} is a perfect square")
+        raise PerfectSquareError(f"d = {_brief(d)} is a perfect square")
     return d
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, Infinity, QuadraticElement, require_nonsquare
+from .exact import INF, Infinity, QuadraticElement, _brief, require_nonsquare
 from .redei import redei_pair_fast
 
 __all__ = ["HyperbolaPoint", "from_parameter", "to_parameter"]
@@ -40,7 +40,8 @@ class HyperbolaPoint:
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
         if self.x * self.x - self.d * self.y * self.y != 1:
-            raise ValueError(f"({self.x}, {self.y}) is not on x^2 - {self.d}y^2 = 1")
+            point = f"({_brief(self.x)}, {_brief(self.y)})"
+            raise ValueError(f"{point} is not on x^2 - {_brief(self.d)}y^2 = 1")
 
     @classmethod
     def identity(cls, d: int) -> "HyperbolaPoint":
@@ -62,14 +63,8 @@ class HyperbolaPoint:
         return HyperbolaPoint(self.d, self.x, -self.y)
 
     def __pow__(self, n: int) -> "HyperbolaPoint":
-        if n < 0:
-            return self.conjugate() ** (-n)
-        acc = HyperbolaPoint.identity(self.d)
-        for bit in bin(n)[2:] if n else "":
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * self
-        return acc
+        """n-th group power; only the result is checked against the curve."""
+        return self.pow_redei(n) if n >= 0 else self.conjugate().pow_redei(-n)
 
     def pow_redei(self, n: int) -> "HyperbolaPoint":
         """n-th power via a Redei pair at (x**2 - 1, x); n must be >= 0.

@@ -85,12 +85,12 @@ def redei_pair_fast(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
         doubling:   (num, den) -> (num**2 + d*den**2, 2*num*den)
         step by 1:  (num, den) -> (z*num + d*den, num + z*den)
 
-    so only two rationals are carried per level, never a full matrix.
+    so only two values are carried per level, never a full matrix.
+    Integer d and z keep every product in Z, with no gcd reduction.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    z = Fraction(z)
-    num, den = Fraction(1), Fraction(0)
+    num, den = 1, 0
     for bit in bin(n)[2:]:
         num, den = num * num + d * den * den, 2 * num * den
         if bit == "1":

@@ -1,15 +1,14 @@
-"""Integer solutions of x**2 - d*y**2 = 1 by three routes that must agree.
+"""Integer solutions of x**2 - d*y**2 = 1 by two routes that must agree.
 
 Every positive solution appears among the convergents of sqrt(d): with
 period length L, the minimal one is convergent L - 1 when L is even and
 2L - 1 when L is odd, and the n-th is found by scaling that index with n.
 The solution set is the cyclic group generated by the minimal solution
-inside the hyperbola group, so the n-th solution is equally the n-th
-group power of the minimal point -- or, cheapest of all, the value of an
-even-index Redei rational at the slope parameter of the minimal point.
-
-PellSolver exposes all three; any disagreement raises ConsistencyError
-rather than returning a guess.
+(x1, y1) inside the hyperbola group, so the n-th solution is also the
+power (x1 + y1*sqrt(d))**n.  The redei and power strategies share one
+integer Redei kernel for it; the convergent route is the independent
+witness.  Each result is checked once, as its PellSolution is built,
+and a non-solution raises ConsistencyError rather than returning a guess.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .contfrac import SqrtExpansion, nth_convergent, sqrt_cf
-from .exact import Infinity
+from .exact import ConsistencyError, Infinity, _brief
 from .hyperbola import HyperbolaPoint, to_parameter
 from .redei import redei_pair_fast, redei_rational
 
@@ -37,10 +36,6 @@ __all__ = [
     "nth_solution",
     "solutions",
 ]
-
-
-class ConsistencyError(RuntimeError):
-    """Two supposedly equivalent computations disagreed."""
 
 
 class Strategy(Enum):
@@ -66,7 +61,8 @@ class PellSolution:
         if self.x < 1 or self.y < 1:
             raise ValueError("positive solutions only")
         if self.x * self.x - self.d * self.y * self.y != 1:
-            raise ValueError(f"({self.x}, {self.y}) does not solve x^2 - {self.d}y^2 = 1")
+            point = f"({_brief(self.x)}, {_brief(self.y)})"
+            raise ValueError(f"{point} does not solve x^2 - {_brief(self.d)}y^2 = 1")
 
     def point(self) -> HyperbolaPoint:
         return HyperbolaPoint(self.d, Fraction(self.x), Fraction(self.y))
@@ -119,35 +115,28 @@ class PellSolver:
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution by the chosen strategy (n >= 1).
 
-        The Redei route squares the slope parameter of the minimal point
-        up to index 2n, so it needs O(log n) big-integer products; the
-        power route is the same cost on hyperbola points; the convergent
-        route grinds through n*L partial quotients and exists as the
-        independent witness.
+        Redei and power take the pair of index n at z = x1 over the radicand
+        x1**2 - 1 = d*y1**2: x_n is its numerator, y_n = y1 times its
+        denominator, in O(log n) integer products.  The convergent route
+        grinds through n*L partial quotients as the independent witness.
         """
         if n < 1:
             raise ValueError("solutions are numbered from 1")
-        if strategy is Strategy.REDEI:
-            base = self.fundamental
-            slope = Fraction(base.x + 1, base.y)
-            pair = redei_pair_fast(self.d, slope, 2 * n)
-            value = pair.ratio
-            x, y = value.numerator, value.denominator
-        elif strategy is Strategy.POWER:
-            pt = self.fundamental.point() ** n
-            if pt.x.denominator != 1 or pt.y.denominator != 1:
-                raise ConsistencyError(f"power strategy left Z at d={self.d}, n={n}")
-            x, y = pt.x.numerator, pt.y.numerator
+        if strategy in (Strategy.REDEI, Strategy.POWER):
+            x1, y1 = self.fundamental.x, self.fundamental.y
+            pair = redei_pair_fast(x1 * x1 - 1, x1, n)
+            x, y = pair.num.numerator, y1 * pair.den.numerator
         elif strategy is Strategy.CONVERGENT:
             conv = nth_convergent(self.expansion, self.solution_index(n))
             x, y = conv.p, conv.q
         else:
             raise ValueError(f"unknown strategy: {strategy!r}")
-        if x * x - self.d * y * y != 1:
+        try:
+            return PellSolution(self.d, n, x, y)
+        except ValueError as exc:
             raise ConsistencyError(
-                f"{strategy.value} strategy produced a non-solution at d={self.d}, n={n}"
-            )
-        return PellSolution(self.d, n, x, y)
+                f"{strategy.value} strategy produced a non-solution at d={_brief(self.d)}, n={n}"
+            ) from exc
 
     def solutions(self) -> Iterator[PellSolution]:
         """All solutions in increasing order, by repeated composition.

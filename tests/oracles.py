@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from pellredei import INF
+from pellredei import INF, redei_pair_fast
 
 
 def brute_isqrt(n: int) -> int:
@@ -88,6 +88,19 @@ def pell_by_y_scan(d: int) -> tuple[int, int]:
         if x * x == t:
             return x, y
         y += 1
+
+
+def pell_by_slope_redei(d: int, x1: int, y1: int, n: int) -> tuple[int, int]:
+    """n-th solution as the index-2n Redei value at the slope (x1 + 1)/y1.
+
+    The paper's route over Q: (z + sqrt(d))**2 is a rational multiple of
+    x1 + y1*sqrt(d) at that slope, so the reduced ratio of index 2n is
+    x_n/y_n.  It runs the pair kernel on rationals, at another radicand
+    and index than the solver's integer route, so agreement checks that
+    route's substitution d*y1**2 = x1**2 - 1.
+    """
+    value = redei_pair_fast(d, Fraction(x1 + 1, y1), 2 * n).ratio
+    return value.numerator, value.denominator
 
 
 def quad_mul_tuple(

@@ -2,8 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_is_square, pell_by_convergent_scan, pell_by_y_scan
+from oracles import (
+    brute_is_square,
+    pell_by_convergent_scan,
+    pell_by_slope_redei,
+    pell_by_y_scan,
+)
 from pellredei import (
     PellSolution,
     PellSolver,
@@ -97,6 +104,23 @@ class TestNthSolution:
                 by_redei = solver.nth_solution(n, Strategy.REDEI)
                 assert by_cf == by_pow == by_redei
                 assert by_cf.n == n
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    d=st.integers(2, 10**4).filter(lambda d: not brute_is_square(d)),
+    n=st.integers(1, 300),
+)
+def test_integer_kernel_matches_slope_oracle(d, n):
+    solver = PellSolver(d)
+    expected = pell_by_slope_redei(d, solver.fundamental.x, solver.fundamental.y, n)
+    for strategy in (Strategy.REDEI, Strategy.POWER):
+        solution = solver.nth_solution(n, strategy)
+        assert (solution.x, solution.y) == expected
+    # The convergent walk is linear in n*L, so it only joins for small n.
+    if n <= 8:
+        solution = solver.nth_solution(n, Strategy.CONVERGENT)
+        assert (solution.x, solution.y) == expected
 
 
 class TestSolutionStream:
