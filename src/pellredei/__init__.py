@@ -1,9 +1,11 @@
 """Exact solutions of x**2 - d*y**2 = 1 and the algebra that makes them fast.
 
 The package keeps every computation in Z, Q, or Q(sqrt(d)) -- there is
-no floating point anywhere.  The redei and power strategies compute the
-n-th solution with one integer Redei kernel in O(log n) products; the
-continued-fraction convergents stay the independent witness.  A small
+no floating point anywhere.  The minimal solution comes from half a
+period of the continued fraction of sqrt(d) by a product tree, and the
+redei and power strategies raise it to the n-th solution with one integer
+Redei kernel in O(log n) products; the convergent walk stays the
+independent witness.  A small
 CLI (`pellredei`) exposes both, plus a benchmark contrasting the linear
 fold with the logarithmic route.
 """

@@ -3,7 +3,14 @@
 All arithmetic is on integers.  The expansion is produced by the classical
 surd recurrence on states (m, s), where the k-th complete quotient is
 (m + sqrt(d))/s; s divides d - m**2 at every step, so the division below
-is exact and no irrational value is ever touched.
+is exact and no irrational value is ever touched.  The recurrence runs
+only to the middle of the period, where the states turn symmetric, and
+the rest of the period is its mirror image.
+
+The convergent stream walks the partial quotients one at a time.  It is
+quadratic in the size of its output and is kept as the plain witness:
+the solver finds the minimal solution by a product tree over the half
+period instead.
 """
 
 from __future__ import annotations
@@ -47,26 +54,41 @@ def sqrt_cf(d: int) -> SqrtExpansion:
 
         a = (a0 + m) // s,   m' = a*s - m,   s' = (d - m'**2) // s
 
-    from (m, s) = (a0, d - a0**2).  The period is complete exactly when
-    the state returns to this initial value.
+    from state 0, (m, s) = (0, 1), which gives a0 itself.  The period
+    length L is odd, L = 2h + 1, exactly when s_h = s_(h+1) for some
+    h >= 0, and even, L = 2h, exactly when m_h = m_(h+1) for some h >= 1;
+    the first such h is the middle of the period, so only h steps are
+    taken and the quotients a1..ah are mirrored:
+
+        odd L:   a1..ah, ah..a1, 2*a0
+        even L:  a1..ah, a(h-1)..a1, 2*a0
+
+    L = 1 (d = a0**2 + 1) is the odd case h = 0, as s_0 = s_1 = 1.  One
+    step past the middle must give the mirrored quotient there, or
+    ConsistencyError is raised.
     """
     if d <= 0:
         raise ValueError(f"d must be positive, got {_brief(d)}")
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise PerfectSquareError(f"d = {_brief(d)} is a perfect square")
+    prev_m, prev_s = 0, 1
     m, s = a0, d - a0 * a0
-    first = (m, s)
-    period = []
+    half: list[int] = []
     while True:
-        a = (a0 + m) // s
-        period.append(a)
-        m = a * s - m
-        s = (d - m * m) // s
-        if (m, s) == first:
+        if s == prev_s:
+            period = half + half[::-1] + [2 * a0]
             break
-    if period[-1] != 2 * a0:
-        raise ConsistencyError(f"period of sqrt({_brief(d)}) does not close with 2*a0")
+        if m == prev_m:
+            period = half + half[-2::-1] + [2 * a0]
+            break
+        a = (a0 + m) // s
+        half.append(a)
+        prev_m, prev_s = m, s
+        m = a * s - m
+        s = (d - m * m) // prev_s
+    if (a0 + m) // s != period[len(half)]:
+        raise ConsistencyError(f"period of sqrt({_brief(d)}) is not symmetric about its middle")
     return SqrtExpansion(d, a0, tuple(period))
 
 

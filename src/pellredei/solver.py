@@ -5,10 +5,14 @@ period length L, the minimal one is convergent L - 1 when L is even and
 2L - 1 when L is odd, and the n-th is found by scaling that index with n.
 The solution set is the cyclic group generated by the minimal solution
 (x1, y1) inside the hyperbola group, so the n-th solution is also the
-power (x1 + y1*sqrt(d))**n.  The redei and power strategies share one
-integer Redei kernel for it; the convergent route is the independent
-witness.  Each result is checked once, as its PellSolution is built,
-and a non-solution raises ConsistencyError rather than returning a guess.
+power (x1 + y1*sqrt(d))**n.
+
+The fast path finds (x1, y1) from the half-period expansion by a balanced
+product tree of partial-quotient matrices, and the redei and power
+strategies share one integer Redei kernel for its power.  The convergent
+route walks the quotients one by one; it is the independent witness.
+Each result is checked once, as its PellSolution is built, and a
+non-solution raises ConsistencyError rather than returning a guess.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .contfrac import SqrtExpansion, nth_convergent, sqrt_cf
 from .exact import ConsistencyError, Infinity, _brief
@@ -109,8 +113,32 @@ class PellSolver:
 
     @cached_property
     def fundamental(self) -> PellSolution:
-        conv = nth_convergent(self.expansion, self.fundamental_index)
-        return PellSolution(self.d, 1, conv.p, conv.q)
+        """The minimal solution, from half the period by a product tree.
+
+        With A(a) = [[a, 1], [1, 0]], convergent L - 1 is the first column
+        of A(a0) * H * [M] * H^T: H multiplies A(a1)..A(ah) for
+        h = (L - 1) // 2, the middle factor M = A(a_(L/2)) is there only
+        when L is even, and the mirrored half is H^T because each A is
+        symmetric.  For odd L that convergent (p, q) has norm -1, and its
+        square (p**2 + d*q**2, 2*p*q) is the minimal solution.
+        """
+        a0, period = self.expansion.a0, self.expansion.period
+        length = len(period)
+        a, b, c, e = _quotient_product(period[: (length - 1) // 2])
+        if length % 2:
+            top, bottom = a * a + b * b, a * c + b * e
+        else:
+            middle = period[length // 2 - 1]
+            top, bottom = a * (a * middle + 2 * b), c * (a * middle + b) + a * e
+        p, q = a0 * top + bottom, top
+        if length % 2:
+            p, q = p * p + self.d * q * q, 2 * p * q
+        try:
+            return PellSolution(self.d, 1, p, q)
+        except ValueError as exc:
+            raise ConsistencyError(
+                f"the product tree produced a non-solution at d={_brief(self.d)}"
+            ) from exc
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution by the chosen strategy (n >= 1).
@@ -123,6 +151,8 @@ class PellSolver:
         if n < 1:
             raise ValueError("solutions are numbered from 1")
         if strategy in (Strategy.REDEI, Strategy.POWER):
+            if n == 1:
+                return self.fundamental
             x1, y1 = self.fundamental.x, self.fundamental.y
             pair = redei_pair_fast(x1 * x1 - 1, x1, n)
             x, y = pair.num.numerator, y1 * pair.den.numerator
@@ -176,6 +206,40 @@ class PellSolver:
             convergent_value=conv_value,
             equal=redei_value == conv_value,
         )
+
+
+# Quotients per leaf of the product tree: below this, the interpreter's
+# cost per 2x2 product outweighs the multiplications it saves.
+_LEAF = 16
+
+
+def _quotient_product(quotients: Sequence[int]) -> tuple[int, int, int, int]:
+    """(a, b, c, e) = [[a, b], [c, e]], the product of the [[q, 1], [1, 0]].
+
+    Runs of _LEAF quotients are walked by the convergent recurrence, whose
+    operands stay a few words long there; the run products are then
+    multiplied pairwise, level by level, so the operands of each product
+    have about the same size.  This balanced product tree is binary
+    splitting: subquadratic where a left-to-right walk is quadratic.
+    """
+    level = []
+    for start in range(0, len(quotients), _LEAF):
+        p, p_prev, q, q_prev = 1, 0, 0, 1
+        for a in quotients[start : start + _LEAF]:
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
+        level.append((p, p_prev, q, q_prev))
+    if not level:
+        return 1, 0, 0, 1
+    while len(level) > 1:
+        pairs = [
+            (a * a2 + b * c2, a * b2 + b * e2, c * a2 + e * c2, c * b2 + e * e2)
+            for (a, b, c, e), (a2, b2, c2, e2) in zip(level[::2], level[1::2])
+        ]
+        if len(level) % 2:
+            pairs.append(level[-1])
+        level = pairs
+    return level[0]
 
 
 def minimal_solution(d: int) -> PellSolution:

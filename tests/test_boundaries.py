@@ -88,3 +88,30 @@ class TestWrongKernel:
         assert code == 4
         assert captured.out == ""
         assert "non-solution" in captured.err
+
+
+class TestWrongProductTree:
+    """A product tree that returns a non-solution is caught when the
+    fundamental is built, which is also the one check of n = 1."""
+
+    @pytest.fixture(autouse=True)
+    def broken_tree(self, monkeypatch):
+        real = solver._quotient_product
+
+        def off_by_one(quotients):
+            a, b, c, e = real(quotients)
+            return a + 1, b, c, e
+
+        monkeypatch.setattr(solver, "_quotient_product", off_by_one)
+
+    @pytest.mark.parametrize("strategy", [Strategy.REDEI, Strategy.POWER])
+    def test_library_raises(self, strategy):
+        with pytest.raises(ConsistencyError, match="non-solution"):
+            PellSolver(61).nth_solution(1, strategy)
+
+    def test_cli_exit_code_4(self, capsys):
+        code = main(["solve", "--d", "61"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "non-solution" in captured.err

@@ -47,6 +47,27 @@ class TestSqrtCf:
             assert tuple(oracle[1 : 1 + length]) == cf.period
             assert tuple(oracle[1 + length :]) == cf.period
 
+    def test_half_period_expansion_matches_oracle_up_to_5000(self):
+        # Covers L = 1 and 2, every d = a**2 + 1, and both parities of L.
+        lengths = set()
+        for d in range(2, 5001):
+            if brute_is_square(d):
+                continue
+            cf = sqrt_cf(d)
+            length = cf.period_length
+            lengths.add(length)
+            oracle = surd_quotients(d, 1 + length)
+            assert (cf.a0, cf.period) == (oracle[0], tuple(oracle[1:]))
+            # 2*a0 first appears at the end of the period, so L is minimal.
+            assert cf.period.index(2 * cf.a0) == length - 1
+        assert {1, 2, 3, 4} <= lengths
+
+    def test_long_period_matches_oracle(self):
+        cf = sqrt_cf(10**10 + 19)
+        assert cf.period_length == 124134
+        oracle = surd_quotients(10**10 + 19, 1 + 124134)
+        assert (cf.a0, cf.period) == (oracle[0], tuple(oracle[1:]))
+
     def test_partial_quotients_stream_cycles(self):
         cf = sqrt_cf(7)
         head = list(itertools.islice(cf.partial_quotients(), 9))

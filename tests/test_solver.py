@@ -18,6 +18,7 @@ from pellredei import (
     Strategy,
     correspondence_check,
     minimal_solution,
+    nth_convergent,
     nth_solution,
     solutions,
 )
@@ -72,11 +73,40 @@ class TestMinimalSolution:
             length = solver.period_length
             assert index == (length - 1 if length % 2 == 0 else 2 * length - 1)
 
+    def test_product_tree_matches_scan_oracle_up_to_5000(self):
+        for d in range(2, 5001):
+            if brute_is_square(d):
+                continue
+            _, p, q = pell_by_convergent_scan(d)
+            fundamental = PellSolver(d).fundamental
+            assert (fundamental.x, fundamental.y) == (p, q)
+
+    def test_product_tree_matches_walk_at_long_period(self):
+        solver = PellSolver(10**10 + 19)
+        assert solver.period_length == 124134
+        conv = nth_convergent(solver.expansion, solver.fundamental_index)
+        fundamental = solver.fundamental
+        assert (fundamental.x, fundamental.y) == (conv.p, conv.q)
+        assert fundamental.x**2 - solver.d * fundamental.y**2 == 1
+
+    def test_kernel_strategies_return_the_checked_fundamental(self):
+        solver = PellSolver(61)
+        for strategy in (Strategy.REDEI, Strategy.POWER):
+            assert solver.nth_solution(1, strategy) is solver.fundamental
+
     def test_truly_minimal_by_direct_scan(self):
         for d in range(2, 31):
             if brute_is_square(d):
                 continue
             assert (minimal_solution(d).x, minimal_solution(d).y) == pell_by_y_scan(d)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=st.integers(2, 10**9).filter(lambda d: not brute_is_square(d)))
+def test_product_tree_matches_convergent_walk(d):
+    solver = PellSolver(d)
+    conv = nth_convergent(solver.expansion, solver.fundamental_index)
+    assert (solver.fundamental.x, solver.fundamental.y) == (conv.p, conv.q)
 
 
 class TestNthSolution:
