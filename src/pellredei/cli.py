@@ -9,11 +9,15 @@ plus a "timings_ns" object for bench.  Every numeric leaf is a decimal
 string so arbitrarily large integers and exact rationals survive any
 JSON parser untouched.  Exit codes: 0 success, 2 usage error, 3 the
 radicand was a perfect square, 4 an internal cross-check failed.
+
+The argument parser is built once per process, on the first call to
+main, and reused by later calls; importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import statistics
@@ -204,6 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         print(f"checked {checked} radicands, all consistent")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pellredei",

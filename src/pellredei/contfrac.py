@@ -7,10 +7,12 @@ is exact and no irrational value is ever touched.  The recurrence runs
 only to the middle of the period, where the states turn symmetric, and
 the rest of the period is its mirror image.
 
-The convergent stream walks the partial quotients one at a time.  It is
-quadratic in the size of its output and is kept as the plain witness:
-the solver finds the minimal solution by a product tree over the half
-period instead.
+The convergent stream and nth_convergent share one recurrence, which
+walks the partial quotients one at a time on plain ints; nth_convergent
+builds a Convergent only for the index asked for.  The walk is quadratic
+in the size of its output and is kept as the plain witness: the solver
+finds the minimal solution by a product tree over the half period
+instead.
 """
 
 from __future__ import annotations
@@ -105,24 +107,31 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
+def _pairs(cf: SqrtExpansion) -> Iterator[tuple[int, int]]:
+    """Unbounded stream of (p_k, q_k), k = 0, 1, 2, ..., on plain ints.
+
+    p_k = a_k*p_{k-1} + p_{k-2} and likewise for q, with the usual seeds.
+    """
+    p, p_prev = 1, 0
+    q, q_prev = 0, 1
+    for a in cf.partial_quotients():
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield p, q
+
+
 def convergents(cf: SqrtExpansion) -> Iterator[Convergent]:
     """Unbounded lazy stream of convergents p_k/q_k, k = 0, 1, 2, ...
 
-    p_k = a_k*p_{k-1} + p_{k-2} and likewise for q, with the usual seeds.
     Each generator is an independent single-consumer cursor.
     """
-    p_km1, p_km2 = 1, 0
-    q_km1, q_km2 = 0, 1
-    for k, a in enumerate(cf.partial_quotients()):
-        p = a * p_km1 + p_km2
-        q = a * q_km1 + q_km2
+    for k, (p, q) in enumerate(_pairs(cf)):
         yield Convergent(k, p, q)
-        p_km2, p_km1 = p_km1, p
-        q_km2, q_km1 = q_km1, q
 
 
 def nth_convergent(cf: SqrtExpansion, k: int) -> Convergent:
     """Convergent at index k (0-based)."""
     if k < 0:
         raise ValueError(f"convergent index must be nonnegative, got {k}")
-    return next(itertools.islice(convergents(cf), k, None))
+    p, q = next(itertools.islice(_pairs(cf), k, None))
+    return Convergent(k, p, q)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from pellredei import PellSolver, Strategy
-from pellredei.cli import main
+from pellredei.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -181,6 +181,26 @@ class TestVerify:
             assert record["command"] == "verify"
             assert record["result"]["equal"] == "true"
             assert json.dumps(record, separators=(",", ":")) == line
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_options_do_not_carry_over(self, capsys):
+        code, out, _ = run(capsys, "solve", "--d", "2", "--n", "2", "--format", "json")
+        assert code == 0 and json.loads(out)["result"] == {"x": "17", "y": "12"}
+        code, out, _ = run(capsys, "solve", "--d", "2", "--n", "2")
+        assert code == 0 and out == "x = 17\ny = 12\n"
+
+    def test_exit_codes_after_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--d", "0"])
+        assert excinfo.value.code == 2
+        code, out, _ = run(capsys, "solve", "--d", "2")
+        assert code == 0 and out == "x = 3\ny = 2\n"
+        code, out, _ = run(capsys, "solve", "--d", "4")
+        assert code == 3 and out == ""
 
 
 def test_module_entry_point():

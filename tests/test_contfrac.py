@@ -89,6 +89,15 @@ class TestConvergents:
         with pytest.raises(ValueError):
             nth_convergent(sqrt_cf(2), -1)
 
+    def test_nth_convergent_matches_the_stream_up_to_300(self):
+        for d in range(2, 301):
+            if brute_is_square(d):
+                continue
+            cf = sqrt_cf(d)
+            limit = 3 * cf.period_length + 3
+            for k, conv in enumerate(itertools.islice(convergents(cf), limit)):
+                assert nth_convergent(cf, k) == conv
+
     def test_value_equals_folded_finite_continued_fraction(self):
         for d in range(2, 51):
             if brute_is_square(d):
