@@ -10,14 +10,15 @@ string so arbitrarily large integers and exact rationals survive any
 JSON parser untouched.  Exit codes: 0 success, 2 usage error, 3 the
 radicand was a perfect square, 4 an internal cross-check failed.
 
-The argument parser is built once per process, on the first call to
-main, and reused by later calls; importing the module builds nothing.
+Each call builds its argument parser, and builds only the subparser of
+the command it names first: the other four were most of a small call's
+fixed cost.  Arguments, help and error messages read the same as with
+the whole tree, which is built when the first word is not a command.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import statistics
@@ -208,55 +209,87 @@ def _cmd_verify(args: argparse.Namespace) -> None:
         print(f"checked {checked} radicands, all consistent")
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+
+# name -> (help, handler, arguments besides --format)
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], None], tuple]] = {
+    "solve": (
+        "n-th positive solution for radicand d",
+        _cmd_solve,
+        (
+            ("--d", {"type": _int_at_least(1), "required": True}),
+            ("--n", {"type": _int_at_least(1), "default": 1}),
+            ("--strategy", {"choices": tuple(s.value for s in Strategy), "default": "redei"}),
+        ),
+    ),
+    "cf": (
+        "continued fraction of sqrt(d) and convergents",
+        _cmd_cf,
+        (
+            ("--d", {"type": _int_at_least(1), "required": True}),
+            ("--terms", {"type": _int_at_least(0), "default": 0}),
+        ),
+    ),
+    "redei": (
+        "Redei pair and rational value at (d, z, n)",
+        _cmd_redei,
+        (
+            ("--d", {"type": _int_at_least(1), "required": True}),
+            ("--z", {"type": _rational, "required": True}),
+            ("--n", {"type": _int_at_least(0), "required": True}),
+        ),
+    ),
+    "bench": (
+        "time the three strategies for the n-max-th solution",
+        _cmd_bench,
+        (
+            ("--d", {"type": _int_at_least(1), "required": True}),
+            ("--n-max", {"type": _int_at_least(1), "required": True}),
+            ("--reps", {"type": _int_at_least(1), "default": 3}),
+        ),
+    ),
+    "verify": (
+        "check Redei values against convergents over a d range",
+        _cmd_verify,
+        (
+            ("--d-max", {"type": _int_at_least(1), "default": 100}),
+            ("--n-max", {"type": _int_at_least(1), "default": 10}),
+        ),
+    ),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: the whole tree, or given a command only its subparser.
+
+    The subcommand list is spelled out as the metavar, so the top-level
+    usage line still names every command when only one is built.
+    """
     parser = argparse.ArgumentParser(
         prog="pellredei",
         description="Exact solutions of x^2 - d*y^2 = 1 and the algebra behind them.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("solve", help="n-th positive solution for radicand d")
-    p.add_argument("--d", type=_int_at_least(1), required=True)
-    p.add_argument("--n", type=_int_at_least(1), default=1)
-    p.add_argument("--strategy", choices=tuple(s.value for s in Strategy), default="redei")
-    add_format(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("cf", help="continued fraction of sqrt(d) and convergents")
-    p.add_argument("--d", type=_int_at_least(1), required=True)
-    p.add_argument("--terms", type=_int_at_least(0), default=0)
-    add_format(p)
-    p.set_defaults(func=_cmd_cf)
-
-    p = sub.add_parser("redei", help="Redei pair and rational value at (d, z, n)")
-    p.add_argument("--d", type=_int_at_least(1), required=True)
-    p.add_argument("--z", type=_rational, required=True)
-    p.add_argument("--n", type=_int_at_least(0), required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_redei)
-
-    p = sub.add_parser("bench", help="time the three strategies for the n-max-th solution")
-    p.add_argument("--d", type=_int_at_least(1), required=True)
-    p.add_argument("--n-max", type=_int_at_least(1), required=True)
-    p.add_argument("--reps", type=_int_at_least(1), default=3)
-    add_format(p)
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser("verify", help="check Redei values against convergents over a d range")
-    p.add_argument("--d-max", type=_int_at_least(1), default=100)
-    p.add_argument("--n-max", type=_int_at_least(1), default=10)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in (*arguments, _FORMAT):
+                p.add_argument(flag, **options)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A call names its command first; argv that does not (help, usage
+    # errors) gets the whole tree.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         args.func(args)
     except PerfectSquareError as exc:

@@ -183,10 +183,7 @@ class TestVerify:
             assert json.dumps(record, separators=(",", ":")) == line
 
 
-class TestParserReuse:
-    def test_built_once(self):
-        assert _build_parser() is _build_parser()
-
+class TestCallsInOneProcess:
     def test_options_do_not_carry_over(self, capsys):
         code, out, _ = run(capsys, "solve", "--d", "2", "--n", "2", "--format", "json")
         assert code == 0 and json.loads(out)["result"] == {"x": "17", "y": "12"}
@@ -203,6 +200,37 @@ class TestParserReuse:
         assert code == 3 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--d", "61"],
+        ["solve", "--d=61", "--n=3", "--strategy", "cf", "--format", "json"],
+        ["solve", "--d", "0"],
+        ["solve", "--strategy", "bogus", "--d", "2"],
+        ["solve"],
+        ["solve", "--d", "2", "extra"],
+        ["solve", "--d", "2", "--", "extra"],
+        ["cf", "--d", "13", "--terms", "3"],
+        ["redei", "--d", "5", "--z", "-1/2", "--n", "3"],
+        ["redei", "--d", "5", "--z", "x", "--n", "3"],
+        ["bench", "--d", "2", "--n-max", "2"],
+        ["verify"],
+        ["verify", "--d-max", "0"],
+        *([name, "--help"] for name in ("solve", "cf", "redei", "bench", "verify")),
+    ],
+)
+def test_one_subparser_parses_like_the_whole_tree(capsys, argv):
+    def outcome(parser):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    assert outcome(_build_parser(argv[0])) == outcome(_build_parser())
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "pellredei", "solve", "--d", "2", "--n", "2"],
@@ -211,3 +239,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "x = 17\ny = 12\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "--d", "61", "--format", "json"], 0),
+        (["solve", "--d", "4"], 3),
+        (["solve", "--d", "0"], 2),
+        (["verify", "--d-max", "30", "--n-max", "3"], 0),
+    ],
+)
+def test_module_exit_codes(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "pellredei", *argv], capture_output=True)
+    assert proc.returncode == code
