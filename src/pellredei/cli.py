@@ -1,19 +1,18 @@
 """Command-line front end: solve, cf, redei, bench, verify.
 
-Output is either human-readable text or canonical JSON, one object per
-line with the shape
+Each command is a generator of records of native values, {"d",
+"params", "result"} plus "timings_ns" for bench.  main turns each value
+into text in one place, _text (str() of each number, "INF" for INF, so
+huge integers and exact rationals survive any JSON parser), and streams
+the records, headed by "command", to one renderer: canonical JSON, one
+object per line, or the command's own text layout.  Exit codes: 0
+success, 2 usage error, 3 the radicand was a perfect square, 4 an
+internal cross-check failed.
 
-    {"command": ..., "d": ..., "params": {...}, "result": {...}}
-
-plus a "timings_ns" object for bench.  Every numeric leaf is a decimal
-string so arbitrarily large integers and exact rationals survive any
-JSON parser untouched.  Exit codes: 0 success, 2 usage error, 3 the
-radicand was a perfect square, 4 an internal cross-check failed.
-
-Each call builds its argument parser, and builds only the subparser of
-the command it names first: the other four were most of a small call's
-fixed cost.  Arguments, help and error messages read the same as with
-the whole tree, which is built when the first word is not a command.
+Each call builds only the subparser of the command it names first: the
+other four were most of a small call's fixed cost.  Arguments, help and
+error messages read the same as with the whole tree, which is built
+when the first word is not a command.
 """
 
 from __future__ import annotations
@@ -25,12 +24,12 @@ import statistics
 import sys
 import time
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .contfrac import convergents
 from .exact import INF, PerfectSquareError, _brief, decimal_digits, is_perfect_square
 from .redei import redei_pair_fast
-from .solver import ConsistencyError, PellSolver, Strategy
+from .solver import ConsistencyError, PellSolution, PellSolver, Strategy
 
 __all__ = ["main"]
 
@@ -58,74 +57,41 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _emit(command: str, d: int, params: dict, result: dict, timings: dict | None = None) -> None:
-    record: dict = {"command": command, "d": str(d), "params": params, "result": result}
-    if timings is not None:
-        record["timings_ns"] = {name: str(ns) for name, ns in timings.items()}
-    print(json.dumps(record, separators=(",", ":")))
+def _cmd_solve(args: argparse.Namespace) -> Iterator[dict]:
+    solution = PellSolver(args.d).nth_solution(args.n, Strategy(args.strategy))
+    yield {
+        "d": args.d,
+        "params": {"n": args.n, "strategy": args.strategy},
+        "result": {"x": solution.x, "y": solution.y},
+    }
 
 
-def _cmd_solve(args: argparse.Namespace) -> None:
-    strategy = Strategy(args.strategy)
-    solution = PellSolver(args.d).nth_solution(args.n, strategy)
-    if args.format == "json":
-        _emit(
-            "solve",
-            args.d,
-            {"n": str(args.n), "strategy": strategy.value},
-            {"x": str(solution.x), "y": str(solution.y)},
-        )
-    else:
-        print(f"x = {solution.x}")
-        print(f"y = {solution.y}")
+def _cmd_cf(args: argparse.Namespace) -> Iterator[dict]:
+    expansion = PellSolver(args.d).expansion
+    head = itertools.islice(convergents(expansion), args.terms)
+    yield {
+        "d": args.d,
+        "params": {"terms": args.terms},
+        "result": {
+            "a0": expansion.a0,
+            "period": expansion.period,
+            "period_length": expansion.period_length,
+            "convergents": [{"k": c.k, "p": c.p, "q": c.q} for c in head],
+        },
+    }
 
 
-def _cmd_cf(args: argparse.Namespace) -> None:
-    solver = PellSolver(args.d)
-    expansion = solver.expansion
-    head = list(itertools.islice(convergents(expansion), args.terms))
-    if args.format == "json":
-        _emit(
-            "cf",
-            args.d,
-            {"terms": str(args.terms)},
-            {
-                "a0": str(expansion.a0),
-                "period": [str(a) for a in expansion.period],
-                "period_length": str(expansion.period_length),
-                "convergents": [
-                    {"k": str(c.k), "p": str(c.p), "q": str(c.q)} for c in head
-                ],
-            },
-        )
-    else:
-        print(f"a0 = {expansion.a0}")
-        print(f"period = {list(expansion.period)}")
-        print(f"L = {expansion.period_length}")
-        for c in head:
-            print(f"convergent {c.k}: {c.p}/{c.q}")
-
-
-def _cmd_redei(args: argparse.Namespace) -> None:
+def _cmd_redei(args: argparse.Namespace) -> Iterator[dict]:
     pair = redei_pair_fast(args.d, args.z, args.n)
-    ratio = pair.ratio
-    q_text = "INF" if ratio is INF else str(ratio)
-    if args.format == "json":
-        _emit(
-            "redei",
-            args.d,
-            {"z": str(args.z), "n": str(args.n)},
-            {"N": str(pair.num), "D": str(pair.den), "Q": q_text},
-        )
-    else:
-        print(f"N = {pair.num}")
-        print(f"D = {pair.den}")
-        print(f"Q = {q_text}")
+    yield {
+        "d": args.d,
+        "params": {"z": args.z, "n": args.n},
+        "result": {"N": pair.num, "D": pair.den, "Q": pair.ratio},
+    }
 
 
-def _median_time_ns(run: Callable[[], tuple[int, int]], reps: int) -> tuple[tuple[int, int], int]:
+def _median_time_ns(run: Callable[[], PellSolution], reps: int) -> tuple[PellSolution, int]:
     samples = []
-    out = (0, 0)
     for _ in range(reps):
         start = time.perf_counter_ns()
         out = run()
@@ -133,51 +99,30 @@ def _median_time_ns(run: Callable[[], tuple[int, int]], reps: int) -> tuple[tupl
     return out, statistics.median_low(samples)
 
 
-def _cmd_bench(args: argparse.Namespace) -> None:
+def _cmd_bench(args: argparse.Namespace) -> Iterator[dict]:
     solver = PellSolver(args.d)
     solver.fundamental  # pull the continued-fraction work out of the timed region
     n = args.n_max
-
-    def linear() -> tuple[int, int]:
-        sol = next(itertools.islice(solver.solutions(), n - 1, None))
-        return sol.x, sol.y
-
-    def power() -> tuple[int, int]:
-        sol = solver.nth_solution(n, Strategy.POWER)
-        return sol.x, sol.y
-
-    def redei() -> tuple[int, int]:
-        sol = solver.nth_solution(n, Strategy.REDEI)
-        return sol.x, sol.y
-
-    outputs: dict[str, tuple[int, int]] = {}
-    timings: dict[str, int] = {}
-    for name, run in (("linear", linear), ("power", power), ("redei", redei)):
-        outputs[name], timings[name] = _median_time_ns(run, args.reps)
-    if len(set(outputs.values())) != 1:
+    linear, linear_ns = _median_time_ns(
+        lambda: next(itertools.islice(solver.solutions(), n - 1, None)), args.reps
+    )
+    # The redei and power strategies run this same kernel call.
+    redei, redei_ns = _median_time_ns(lambda: solver.nth_solution(n, Strategy.REDEI), args.reps)
+    if linear != redei:
         raise ConsistencyError(
-            f"strategies disagree at d={args.d}, n={n}: "
-            + ", ".join(f"{name}=({_brief(x)}, {_brief(y)})" for name, (x, y) in outputs.items())
+            f"strategies disagree at d={args.d}, n={n}: linear=({_brief(linear.x)}, "
+            f"{_brief(linear.y)}), redei=({_brief(redei.x)}, {_brief(redei.y)})"
         )
-    x, y = outputs["linear"]
-    if args.format == "json":
-        _emit(
-            "bench",
-            args.d,
-            {"n_max": str(n), "reps": str(args.reps)},
-            {"x_digits": str(decimal_digits(x)), "y_digits": str(decimal_digits(y)), "agree": "true"},
-            timings,
-        )
-    else:
-        print(f"x digits = {decimal_digits(x)}")
-        print(f"y digits = {decimal_digits(y)}")
-        print("agreement: ok")
-        for name, ns in timings.items():
-            print(f"{name} median: {ns} ns")
+    x, y = linear.x, linear.y
+    yield {
+        "d": args.d,
+        "params": {"n_max": n, "reps": args.reps},
+        "result": {"x_digits": decimal_digits(x), "y_digits": decimal_digits(y), "agree": "true"},
+        "timings_ns": {"linear": linear_ns, "redei": redei_ns},
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> None:
-    checked = 0
+def _cmd_verify(args: argparse.Namespace) -> Iterator[dict]:
     for d in range(2, args.d_max + 1):
         if is_perfect_square(d):
             continue
@@ -189,33 +134,84 @@ def _cmd_verify(args: argparse.Namespace) -> None:
                     f"Redei value != convergent at d={d}, n={n}: "
                     f"{_brief(report.redei_value)} vs {_brief(report.convergent_value)}"
                 )
-        checked += 1
-        parity = "even" if solver.period_length % 2 == 0 else "odd"
-        if args.format == "json":
-            _emit(
-                "verify",
-                d,
-                {"n_max": str(args.n_max)},
-                {
-                    "period_length": str(solver.period_length),
-                    "parity": parity,
-                    "checked": str(args.n_max),
-                    "equal": "true",
-                },
-            )
-        else:
-            print(f"d = {d}: L = {solver.period_length} ({parity}), n = 1..{args.n_max} ok")
-    if args.format == "text":
-        print(f"checked {checked} radicands, all consistent")
+        yield {
+            "d": d,
+            "params": {"n_max": args.n_max},
+            "result": {
+                "period_length": report.period_length,
+                "parity": report.parity,
+                "checked": args.n_max,
+                "equal": "true",
+            },
+        }
+
+
+def _text(value: object) -> object:
+    """A record value as output text, in either format: str() of each number, "INF" for INF."""
+    if isinstance(value, dict):
+        return {key: _text(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_text(item) for item in value]
+    return "INF" if value is INF else str(value)
+
+
+def _formatted(command: str, records: Iterable[dict]) -> Iterator[dict]:
+    for record in records:
+        out = {"command": command}
+        for key, value in record.items():
+            out[key] = _text(value)
+        yield out
+
+
+def _render_json(records: Iterable[dict]) -> None:
+    for record in records:
+        print(json.dumps(record, separators=(",", ":")))
+
+
+def _render_assignments(records: Iterable[dict]) -> None:
+    for record in records:
+        for key, value in record["result"].items():
+            print(f"{key} = {value}")
+
+
+def _render_cf(records: Iterable[dict]) -> None:
+    for record in records:
+        result = record["result"]
+        print(f"a0 = {result['a0']}")
+        print(f"period = [{', '.join(result['period'])}]")
+        print(f"L = {result['period_length']}")
+        for c in result["convergents"]:
+            print(f"convergent {c['k']}: {c['p']}/{c['q']}")
+
+
+def _render_bench(records: Iterable[dict]) -> None:
+    for record in records:
+        result = record["result"]
+        print(f"x digits = {result['x_digits']}")
+        print(f"y digits = {result['y_digits']}")
+        print("agreement: ok")
+        for name, ns in record["timings_ns"].items():
+            print(f"{name} median: {ns} ns")
+
+
+def _render_verify(records: Iterable[dict]) -> None:
+    checked = 0
+    for checked, record in enumerate(records, 1):
+        r = record["result"]
+        print(
+            f"d = {record['d']}: L = {r['period_length']} ({r['parity']}), n = 1..{r['checked']} ok"
+        )
+    print(f"checked {checked} radicands, all consistent")
 
 
 _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 
-# name -> (help, handler, arguments besides --format)
-_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], None], tuple]] = {
+# name -> (help, record builder, text renderer, arguments besides --format)
+_COMMANDS: dict[str, tuple[str, Callable, Callable, tuple]] = {
     "solve": (
         "n-th positive solution for radicand d",
         _cmd_solve,
+        _render_assignments,
         (
             ("--d", {"type": _int_at_least(1), "required": True}),
             ("--n", {"type": _int_at_least(1), "default": 1}),
@@ -225,6 +221,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], None], tuple]] = 
     "cf": (
         "continued fraction of sqrt(d) and convergents",
         _cmd_cf,
+        _render_cf,
         (
             ("--d", {"type": _int_at_least(1), "required": True}),
             ("--terms", {"type": _int_at_least(0), "default": 0}),
@@ -233,6 +230,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], None], tuple]] = 
     "redei": (
         "Redei pair and rational value at (d, z, n)",
         _cmd_redei,
+        _render_assignments,
         (
             ("--d", {"type": _int_at_least(1), "required": True}),
             ("--z", {"type": _rational, "required": True}),
@@ -242,6 +240,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], None], tuple]] = 
     "bench": (
         "time the three strategies for the n-max-th solution",
         _cmd_bench,
+        _render_bench,
         (
             ("--d", {"type": _int_at_least(1), "required": True}),
             ("--n-max", {"type": _int_at_least(1), "required": True}),
@@ -251,6 +250,7 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], None], tuple]] = 
     "verify": (
         "check Redei values against convergents over a d range",
         _cmd_verify,
+        _render_verify,
         (
             ("--d-max", {"type": _int_at_least(1), "default": 100}),
             ("--n-max", {"type": _int_at_least(1), "default": 10}),
@@ -274,12 +274,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         required=True,
         metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
     )
-    for name, (help_text, handler, arguments) in _COMMANDS.items():
+    for name, (help_text, _, _, arguments) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)
             for flag, options in (*arguments, _FORMAT):
                 p.add_argument(flag, **options)
-            p.set_defaults(func=handler)
     return parser
 
 
@@ -290,8 +289,10 @@ def main(argv: list[str] | None = None) -> int:
     # errors) gets the whole tree.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
+    _, build, render_text, _ = _COMMANDS[args.command]
+    render = _render_json if args.format == "json" else render_text
     try:
-        args.func(args)
+        render(_formatted(args.command, build(args)))
     except PerfectSquareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -61,9 +61,6 @@ class Infinity:
 
 INF = Infinity()
 
-# A point of Q ∪ {INF}; what the group operations consume and produce.
-ProjectiveRational = Fraction | Infinity
-
 
 def is_perfect_square(n: int) -> bool:
     """True iff n is the square of an integer (negatives never are)."""

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .contfrac import SqrtExpansion, nth_convergent, sqrt_cf
 from .exact import ConsistencyError, Infinity, _brief
-from .hyperbola import HyperbolaPoint, to_parameter
+from .hyperbola import HyperbolaPoint
 from .redei import redei_pair_fast, redei_rational
 
 __all__ = [
@@ -190,9 +190,8 @@ class PellSolver:
         """
         if n < 1:
             raise ValueError("solutions are numbered from 1")
-        base = self.fundamental
-        slope = to_parameter(base.point())
-        redei_value = redei_rational(self.d, slope, 2 * n)
+        base = self.fundamental  # checked, so y1 >= 1 and the slope is finite
+        redei_value = redei_rational(self.d, Fraction(1 + base.x, base.y), 2 * n)
         index = self.solution_index(n)
         conv_value = nth_convergent(self.expansion, index).value
         length = self.period_length
