@@ -2,12 +2,12 @@
 
 The package keeps every computation in Z, Q, or Q(sqrt(d)) -- there is
 no floating point anywhere.  The minimal solution comes from half a
-period of the continued fraction of sqrt(d) by a product tree, and the
-redei and power strategies raise it to the n-th solution with one integer
-Redei kernel in O(log n) products; the convergent walk stays the
-independent witness.  A small
-CLI (`pellredei`) exposes both, plus a benchmark contrasting the linear
-fold with the logarithmic route.
+period of the continued fraction of sqrt(d) by a product tree.  Every
+power of a + b*sqrt(d) -- the n-th solution, a hyperbola point's power,
+the witness's Redei value -- is one call of the Redei kernel, in
+O(log n) products; the convergent walk stays the independent witness.
+A small CLI (`pellredei`) exposes both, plus a benchmark contrasting the
+linear fold with the logarithmic route.
 """
 
 from .contfrac import Convergent, SqrtExpansion, convergents, nth_convergent, sqrt_cf

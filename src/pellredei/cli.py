@@ -238,7 +238,7 @@ _COMMANDS: dict[str, tuple[str, Callable, Callable, tuple]] = {
         ),
     ),
     "bench": (
-        "time the three strategies for the n-max-th solution",
+        "time the linear fold against the Redei kernel for the n-max-th solution",
         _cmd_bench,
         _render_bench,
         (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import ConsistencyError, PerfectSquareError, _brief, isqrt
+from .exact import ConsistencyError, _brief, isqrt, require_nonsquare
 
 __all__ = ["Convergent", "SqrtExpansion", "convergents", "nth_convergent", "sqrt_cf"]
 
@@ -69,11 +69,7 @@ def sqrt_cf(d: int) -> SqrtExpansion:
     step past the middle must give the mirrored quotient there, or
     ConsistencyError is raised.
     """
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {_brief(d)}")
-    a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise PerfectSquareError(f"d = {_brief(d)} is a perfect square")
+    a0 = isqrt(require_nonsquare(d))
     prev_m, prev_s = 0, 1
     m, s = a0, d - a0 * a0
     half: list[int] = []

@@ -6,9 +6,9 @@ The product
 
 is multiplication in Q(sqrt(d)) restricted to elements of norm one, so
 identity (1, 0), inverse = conjugate (x, -y), and associativity are all
-inherited.  A point's n-th power can be read off a Redei pair whose
-"radicand" slot is the rational x**2 - 1, which keeps exponentiation
-logarithmic without ever leaving Q.
+inherited.  A point's n-th power is (x + y*sqrt(d))**n, one call of the
+Redei kernel over Q, so exponentiation is logarithmic, and the curve is
+checked once, on the result.
 
 The parametrization by slope connects this group to the projective-line
 group in projline: from_parameter/to_parameter are mutually inverse
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import INF, Infinity, QuadraticElement, _brief, require_nonsquare
-from .redei import redei_pair_fast
+from .redei import _quadratic_power
 
 __all__ = ["HyperbolaPoint", "from_parameter", "to_parameter"]
 
@@ -64,20 +64,8 @@ class HyperbolaPoint:
 
     def __pow__(self, n: int) -> "HyperbolaPoint":
         """n-th group power; only the result is checked against the curve."""
-        return self.pow_redei(n) if n >= 0 else self.conjugate().pow_redei(-n)
-
-    def pow_redei(self, n: int) -> "HyperbolaPoint":
-        """n-th power via a Redei pair at (x**2 - 1, x); n must be >= 0.
-
-        Follows from the closure of the pair recurrence under the
-        substitution that makes z**2 - d equal 1, i.e. d = x**2 - 1: the
-        numerator sequence gives the new x, and the denominator sequence
-        scales the old y.
-        """
-        if n < 0:
-            raise ValueError("pow_redei wants a nonnegative exponent; conjugate first")
-        pair = redei_pair_fast(self.x * self.x - 1, self.x, n)
-        return HyperbolaPoint(self.d, pair.num, self.y * pair.den)
+        x, y = _quadratic_power(self.d, self.x, self.y, abs(n))
+        return HyperbolaPoint(self.d, x, -y if n < 0 else y)
 
     def to_quadratic(self) -> QuadraticElement:
         """The norm-one field element x + y*sqrt(d) this point represents."""

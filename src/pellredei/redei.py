@@ -13,8 +13,12 @@ evaluation.  The index-addition rules
     num_{n+m} = num_n*num_m + d*den_n*den_m
     den_{n+m} = den_n*num_m + num_n*den_m
 
-give a logarithmic-time one by binary doubling.  Here d may be any
-rational: the hyperbola power route instantiates it at x**2 - 1.
+give a logarithmic-time one by binary doubling.  Both kernels compute in
+the ring of their inputs: integer d and z give integer pairs.
+
+Every power of a + b*sqrt(d) in the package is one call of the fast
+kernel: b*sqrt(d) = sqrt(d*b**2), so the pair at z = a over the radicand
+d*b**2, its denominator scaled by b, is that power (_quadratic_power).
 """
 
 from __future__ import annotations
@@ -42,35 +46,29 @@ class RedeiPair:
     """
 
     d: int | Fraction
-    z: Fraction
+    z: int | Fraction
     n: int
-    num: Fraction
-    den: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", Fraction(self.z))
-        object.__setattr__(self, "num", Fraction(self.num))
-        object.__setattr__(self, "den", Fraction(self.den))
+    num: int | Fraction
+    den: int | Fraction
 
     @property
     def ratio(self) -> Fraction | Infinity:
         """num/den in lowest terms; INF when den = 0 (in particular n = 0)."""
         if self.den == 0:
             return INF
-        return self.num / self.den
+        return Fraction(self.num, self.den)
 
 
 def redei_pair_linear(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
     """(num_n, den_n) by stepping the recurrence; O(n) ring operations."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    z = Fraction(z)
     if n == 0:
-        return RedeiPair(d, z, 0, Fraction(1), Fraction(0))
+        return RedeiPair(d, z, 0, 1, 0)
     h = 2 * z
     k = z * z - d
-    num_prev, num = Fraction(1), z
-    den_prev, den = Fraction(0), Fraction(1)
+    num_prev, num = 1, z
+    den_prev, den = 0, 1
     for _ in range(n - 1):
         num_prev, num = num, h * num - k * num_prev
         den_prev, den = den, h * den - k * den_prev
@@ -96,6 +94,18 @@ def redei_pair_fast(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
         if bit == "1":
             num, den = z * num + d * den, num + z * den
     return RedeiPair(d, z, n, num, den)
+
+
+def _quadratic_power(
+    d: int, a: int | Fraction, b: int | Fraction, n: int
+) -> tuple[int | Fraction, int | Fraction]:
+    """(A, B) with A + B*sqrt(d) = (a + b*sqrt(d))**n, for n >= 0.
+
+    The pair at z = a over the radicand d*b**2, with its denominator
+    scaled by b: b*sqrt(d) = sqrt(d*b**2), whatever the sign of b.
+    """
+    pair = redei_pair_fast(d * b * b, a, n)
+    return pair.num, b * pair.den
 
 
 def redei_rational(d: int | Fraction, z: int | Fraction, n: int) -> Fraction | Infinity:

@@ -9,8 +9,9 @@ power (x1 + y1*sqrt(d))**n.
 
 The fast path finds (x1, y1) from the half-period expansion by a balanced
 product tree of partial-quotient matrices, and the redei and power
-strategies share one integer Redei kernel for its power.  The convergent
-route walks the quotients one by one; it is the independent witness.
+strategies share one integer Redei call for its power.  The convergent
+route walks the quotients one by one; it is the independent witness,
+checked against the paper's Redei value by the same integer call.
 Each result is checked once, as its PellSolution is built, and a
 non-solution raises ConsistencyError rather than returning a guess.
 """
@@ -25,9 +26,9 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .contfrac import SqrtExpansion, nth_convergent, sqrt_cf
-from .exact import ConsistencyError, Infinity, _brief
+from .exact import ConsistencyError, _brief
 from .hyperbola import HyperbolaPoint
-from .redei import redei_pair_fast, redei_rational
+from .redei import _quadratic_power
 
 __all__ = [
     "ConsistencyError",
@@ -81,7 +82,7 @@ class CorrespondenceReport:
     period_length: int
     parity: str
     convergent_index: int
-    redei_value: Fraction | Infinity
+    redei_value: Fraction
     convergent_value: Fraction
     equal: bool
 
@@ -143,19 +144,16 @@ class PellSolver:
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution by the chosen strategy (n >= 1).
 
-        Redei and power take the pair of index n at z = x1 over the radicand
-        x1**2 - 1 = d*y1**2: x_n is its numerator, y_n = y1 times its
-        denominator, in O(log n) integer products.  The convergent route
-        grinds through n*L partial quotients as the independent witness.
+        Redei and power take (x1 + y1*sqrt(d))**n by one integer Redei
+        call, in O(log n) products.  The convergent route grinds through
+        n*L partial quotients as the independent witness.
         """
         if n < 1:
             raise ValueError("solutions are numbered from 1")
         if strategy in (Strategy.REDEI, Strategy.POWER):
             if n == 1:
                 return self.fundamental
-            x1, y1 = self.fundamental.x, self.fundamental.y
-            pair = redei_pair_fast(x1 * x1 - 1, x1, n)
-            x, y = pair.num.numerator, y1 * pair.den.numerator
+            x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
         elif strategy is Strategy.CONVERGENT:
             conv = nth_convergent(self.expansion, self.solution_index(n))
             x, y = conv.p, conv.q
@@ -185,13 +183,15 @@ class PellSolver:
     def correspondence_check(self, n: int) -> CorrespondenceReport:
         """Compare the 2n-th Redei value with the matching convergent.
 
-        Both sides equal x_n/y_n, reduced; the report records the raw
-        values so a mismatch is inspectable.
+        The Redei value at the slope z = (1 + x1)/y1 is the ratio of
+        ((1 + x1) + y1*sqrt(d))**(2n), its common denominator y1**(2n)
+        cleared.  Both sides equal x_n/y_n, reduced; the report records
+        the raw values so a mismatch is inspectable.
         """
         if n < 1:
             raise ValueError("solutions are numbered from 1")
         base = self.fundamental  # checked, so y1 >= 1 and the slope is finite
-        redei_value = redei_rational(self.d, Fraction(1 + base.x, base.y), 2 * n)
+        redei_value = Fraction(*_quadratic_power(self.d, 1 + base.x, base.y, 2 * n))
         index = self.solution_index(n)
         conv_value = nth_convergent(self.expansion, index).value
         length = self.period_length

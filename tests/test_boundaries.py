@@ -15,6 +15,7 @@ from pellredei import (
     RedeiPair,
     Strategy,
     exact,
+    redei,
     solver,
 )
 from pellredei.cli import main
@@ -68,13 +69,13 @@ class TestWrongKernel:
 
     @pytest.fixture(autouse=True)
     def broken_kernel(self, monkeypatch):
-        real = solver.redei_pair_fast
+        real = redei.redei_pair_fast
 
         def off_by_one(d, z, n):
             pair = real(d, z, n)
             return RedeiPair(pair.d, pair.z, pair.n, pair.num + 1, pair.den)
 
-        monkeypatch.setattr(solver, "redei_pair_fast", off_by_one)
+        monkeypatch.setattr(redei, "redei_pair_fast", off_by_one)
 
     @pytest.mark.parametrize("strategy", [Strategy.REDEI, Strategy.POWER])
     def test_library_raises(self, strategy):

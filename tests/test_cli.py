@@ -166,6 +166,14 @@ class TestBench:
         assert "disagree" in err
 
 
+    def test_help_names_the_two_routes(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "time the linear fold against the Redei kernel for the n-max-th solution" in help_text
+
+
 class TestVerify:
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "verify", "--d-max", "20", "--n-max", "2")

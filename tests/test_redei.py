@@ -46,6 +46,13 @@ class TestPairValues:
             p1 = redei_pair_fast(d, z, 1)
             assert (p1.num, p1.den) == (z, 1)
 
+    def test_integer_inputs_stay_in_z(self):
+        for kernel in (redei_pair_linear, redei_pair_fast):
+            for d, z, n in [(2, 2, 4), (7, -3, 9), (13, 0, 3), (5, 1, 0), (61, 1766319049, 5)]:
+                pair = kernel(d, z, n)
+                assert type(pair.num) is int and type(pair.den) is int
+                assert pair.ratio is INF or type(pair.ratio) is Fraction
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             redei_pair_linear(2, 3, -1)

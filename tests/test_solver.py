@@ -20,6 +20,7 @@ from pellredei import (
     minimal_solution,
     nth_convergent,
     nth_solution,
+    redei_rational,
     solutions,
 )
 
@@ -209,6 +210,15 @@ class TestCorrespondence:
             solver = PellSolver(d)
             for n in range(1, 6):
                 assert solver.correspondence_check(n).equal
+
+    def test_redei_value_is_the_rational_function_at_the_slope(self):
+        for d in range(2, 61):
+            if brute_is_square(d):
+                continue
+            base = minimal_solution(d)
+            for n in range(1, 5):
+                expected = redei_rational(d, Fraction(1 + base.x, base.y), 2 * n)
+                assert correspondence_check(d, n).redei_value == expected
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
