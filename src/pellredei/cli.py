@@ -26,10 +26,17 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .contfrac import convergents
-from .exact import INF, PerfectSquareError, _brief, decimal_digits, is_perfect_square
+from .contfrac import convergents, sqrt_cf
+from .exact import (
+    INF,
+    ConsistencyError,
+    PerfectSquareError,
+    _brief,
+    decimal_digits,
+    is_perfect_square,
+)
 from .redei import redei_pair_fast
-from .solver import ConsistencyError, PellSolution, PellSolver, Strategy
+from .solver import PellSolution, PellSolver, Strategy
 
 __all__ = ["main"]
 
@@ -67,7 +74,7 @@ def _cmd_solve(args: argparse.Namespace) -> Iterator[dict]:
 
 
 def _cmd_cf(args: argparse.Namespace) -> Iterator[dict]:
-    expansion = PellSolver(args.d).expansion
+    expansion = sqrt_cf(args.d)
     head = itertools.islice(convergents(expansion), args.terms)
     yield {
         "d": args.d,

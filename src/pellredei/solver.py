@@ -12,8 +12,8 @@ product tree of partial-quotient matrices, and the redei and power
 strategies share one integer Redei call for its power.  The convergent
 route walks the quotients one by one; it is the independent witness,
 checked against the paper's Redei value by the same integer call.
-Each result is checked once, as its PellSolution is built, and a
-non-solution raises ConsistencyError rather than returning a guess.
+Every route's answer, the linear fold's too, is checked once as its
+PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .hyperbola import HyperbolaPoint
 from .redei import _quadratic_power
 
 __all__ = [
-    "ConsistencyError",
     "CorrespondenceReport",
     "PellSolution",
     "PellSolver",
@@ -134,12 +133,7 @@ class PellSolver:
         p, q = a0 * top + bottom, top
         if length % 2:
             p, q = p * p + self.d * q * q, 2 * p * q
-        try:
-            return PellSolution(self.d, 1, p, q)
-        except ValueError as exc:
-            raise ConsistencyError(
-                f"the product tree produced a non-solution at d={_brief(self.d)}"
-            ) from exc
+        return self._checked(1, p, q, "the product tree")
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution by the chosen strategy (n >= 1).
@@ -159,12 +153,7 @@ class PellSolver:
             x, y = conv.p, conv.q
         else:
             raise ValueError(f"unknown strategy: {strategy!r}")
-        try:
-            return PellSolution(self.d, n, x, y)
-        except ValueError as exc:
-            raise ConsistencyError(
-                f"{strategy.value} strategy produced a non-solution at d={_brief(self.d)}, n={n}"
-            ) from exc
+        return self._checked(n, x, y, f"{strategy.value} strategy")
 
     def solutions(self) -> Iterator[PellSolution]:
         """All solutions in increasing order, by repeated composition.
@@ -177,7 +166,7 @@ class PellSolver:
         base = self.fundamental
         x, y = base.x, base.y
         for n in itertools.count(1):
-            yield PellSolution(self.d, n, x, y)
+            yield self._checked(n, x, y, "the linear fold")
             x, y = x * base.x + self.d * y * base.y, y * base.x + x * base.y
 
     def correspondence_check(self, n: int) -> CorrespondenceReport:
@@ -188,11 +177,9 @@ class PellSolver:
         cleared.  Both sides equal x_n/y_n, reduced; the report records
         the raw values so a mismatch is inspectable.
         """
-        if n < 1:
-            raise ValueError("solutions are numbered from 1")
+        index = self.solution_index(n)
         base = self.fundamental  # checked, so y1 >= 1 and the slope is finite
         redei_value = Fraction(*_quadratic_power(self.d, 1 + base.x, base.y, 2 * n))
-        index = self.solution_index(n)
         conv_value = nth_convergent(self.expansion, index).value
         length = self.period_length
         return CorrespondenceReport(
@@ -205,6 +192,15 @@ class PellSolver:
             convergent_value=conv_value,
             equal=redei_value == conv_value,
         )
+
+    def _checked(self, n: int, x: int, y: int, route: str) -> PellSolution:
+        """(x, y) as the n-th solution: the one exact check of every route."""
+        try:
+            return PellSolution(self.d, n, x, y)
+        except ValueError as exc:
+            raise ConsistencyError(
+                f"{route} produced a non-solution at d={_brief(self.d)}, n={n}"
+            ) from exc
 
 
 # Quotients per leaf of the product tree: below this, the interpreter's

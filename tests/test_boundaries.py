@@ -2,6 +2,7 @@
 
 import ast
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,11 +15,50 @@ from pellredei import (
     PerfectSquareError,
     RedeiPair,
     Strategy,
+    cli,
+    contfrac,
     exact,
+    hyperbola,
+    projline,
     redei,
     solver,
 )
 from pellredei.cli import main
+
+# The package's public names; a change to this list is a change of API.
+PUBLIC_NAMES = [
+    "INF",
+    "ConsistencyError",
+    "Convergent",
+    "CorrespondenceReport",
+    "HyperbolaPoint",
+    "Infinity",
+    "LineGroup",
+    "PellSolution",
+    "PellSolver",
+    "PerfectSquareError",
+    "QuadraticElement",
+    "RedeiPair",
+    "SqrtExpansion",
+    "Strategy",
+    "convergents",
+    "correspondence_check",
+    "decimal_digits",
+    "dickson",
+    "from_parameter",
+    "is_perfect_square",
+    "isqrt",
+    "minimal_solution",
+    "nth_convergent",
+    "nth_solution",
+    "redei_pair_fast",
+    "redei_pair_linear",
+    "redei_rational",
+    "require_nonsquare",
+    "solutions",
+    "sqrt_cf",
+    "to_parameter",
+]
 
 
 def test_no_assert_statements_in_the_package():
@@ -31,6 +71,23 @@ def test_no_assert_statements_in_the_package():
 
 def test_consistency_error_is_one_class_everywhere():
     assert pellredei.ConsistencyError is solver.ConsistencyError is exact.ConsistencyError
+
+
+class TestPublicNames:
+    """Each public name is declared once, in the __all__ of the module that defines it."""
+
+    def test_names_are_pinned(self):
+        assert len(pellredei.__all__) == len(set(pellredei.__all__))
+        assert set(pellredei.__all__) == set(PUBLIC_NAMES)
+
+    def test_each_name_has_one_module(self):
+        owners = {}
+        for module in (cli, contfrac, exact, hyperbola, projline, redei, solver):
+            for name in module.__all__:
+                assert name not in owners, f"{name} in {owners.get(name)} and {module}"
+                owners[name] = module
+        for name in pellredei.__all__:
+            assert getattr(pellredei, name) is getattr(owners[name], name), name
 
 
 class TestHugeValuesInMessages:
@@ -112,6 +169,47 @@ class TestWrongProductTree:
 
     def test_cli_exit_code_4(self, capsys):
         code = main(["solve", "--d", "61"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "non-solution" in captured.err
+
+
+class TestWrongWalk:
+    """A convergent walk that returns a non-solution is caught by the one exact check."""
+
+    @pytest.fixture(autouse=True)
+    def broken_walk(self, monkeypatch):
+        real = solver.nth_convergent
+        monkeypatch.setattr(solver, "nth_convergent", lambda expansion, k: real(expansion, k + 1))
+
+    def test_library_raises(self):
+        with pytest.raises(ConsistencyError, match="non-solution"):
+            PellSolver(61).nth_solution(5, Strategy.CONVERGENT)
+
+    def test_cli_exit_code_4(self, capsys):
+        code = main(["solve", "--d", "61", "--n", "5", "--strategy", "cf"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "non-solution" in captured.err
+
+
+class TestWrongFold:
+    """A linear fold that reaches a non-solution is caught by the one exact check,
+    so bench, which times the fold, exits 4 rather than crashing."""
+
+    @pytest.fixture(autouse=True)
+    def broken_base(self, monkeypatch):
+        # 3^2 - 2*1^2 = 7: the fold starts from a point off the curve.
+        monkeypatch.setattr(PellSolver, "fundamental", SimpleNamespace(x=3, y=1))
+
+    def test_library_raises(self):
+        with pytest.raises(ConsistencyError, match="linear fold produced a non-solution"):
+            next(PellSolver(2).solutions())
+
+    def test_cli_exit_code_4(self, capsys):
+        code = main(["bench", "--d", "2", "--n-max", "3", "--reps", "1"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
