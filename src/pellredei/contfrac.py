@@ -10,9 +10,10 @@ the rest of the period is its mirror image.
 The convergent stream and nth_convergent share one recurrence, which
 walks the partial quotients one at a time on plain ints; nth_convergent
 builds a Convergent only for the index asked for.  The walk is quadratic
-in the size of its output and is kept as the plain witness: the solver
-finds the minimal solution by a product tree over the half period
-instead.
+in the size of its output and is kept as the plain witness and test
+oracle: the solver finds the minimal solution by a product tree over the
+half period, and the cf strategy's convergent by a power of the period's
+matrix, instead.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ power (x1 + y1*sqrt(d))**n.
 
 The fast path finds (x1, y1) from the half-period expansion by a balanced
 product tree of partial-quotient matrices, and the redei and power
-strategies share one integer Redei call for its power.  The convergent
-route walks the quotients one by one; it is the independent witness,
-checked against the paper's Redei value by the same integer call.
+strategies share one integer Redei call for its power.  The cf strategy
+takes the solution's convergent as a power of the period's quotient
+matrix, also in O(log n) products.  The sequential convergent walk is
+the independent witness, checked against the paper's Redei value by the
+same integer call.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 """
@@ -74,16 +76,31 @@ class PellSolution:
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """Outcome of checking a Redei value against its convergent."""
+    """Outcome of checking a Redei value against its convergent.
+
+    The Redei value is kept as the ratio redei_num/redei_den the kernel
+    returned, the convergent as p/q in lowest terms; equal compares them
+    by cross-multiplication, so no gcd is taken unless a value is read.
+    """
 
     d: int
     n: int
     period_length: int
     parity: str
     convergent_index: int
-    redei_value: Fraction
-    convergent_value: Fraction
+    redei_num: int
+    redei_den: int
+    convergent_p: int
+    convergent_q: int
     equal: bool
+
+    @property
+    def redei_value(self) -> Fraction:
+        return Fraction(self.redei_num, self.redei_den)
+
+    @property
+    def convergent_value(self) -> Fraction:
+        return Fraction(self.convergent_p, self.convergent_q)
 
 
 class PellSolver:
@@ -139,8 +156,9 @@ class PellSolver:
         """The n-th solution by the chosen strategy (n >= 1).
 
         Redei and power take (x1 + y1*sqrt(d))**n by one integer Redei
-        call, in O(log n) products.  The convergent route grinds through
-        n*L partial quotients as the independent witness.
+        call, in O(log n) products.  The convergent route takes convergent
+        solution_index(n) as a power of the period's quotient matrix, also
+        in O(log n) products, without the norm form or the Redei kernel.
         """
         if n < 1:
             raise ValueError("solutions are numbered from 1")
@@ -149,8 +167,7 @@ class PellSolver:
                 return self.fundamental
             x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
         elif strategy is Strategy.CONVERGENT:
-            conv = nth_convergent(self.expansion, self.solution_index(n))
-            x, y = conv.p, conv.q
+            x, y = _convergent(self.expansion, self.solution_index(n))
         else:
             raise ValueError(f"unknown strategy: {strategy!r}")
         return self._checked(n, x, y, f"{strategy.value} strategy")
@@ -175,12 +192,13 @@ class PellSolver:
         The Redei value at the slope z = (1 + x1)/y1 is the ratio of
         ((1 + x1) + y1*sqrt(d))**(2n), its common denominator y1**(2n)
         cleared.  Both sides equal x_n/y_n, reduced; the report records
-        the raw values so a mismatch is inspectable.
+        the raw values so a mismatch is inspectable.  The convergent comes
+        from the sequential walk, independent of every solution route.
         """
         index = self.solution_index(n)
         base = self.fundamental  # checked, so y1 >= 1 and the slope is finite
-        redei_value = Fraction(*_quadratic_power(self.d, 1 + base.x, base.y, 2 * n))
-        conv_value = nth_convergent(self.expansion, index).value
+        num, den = _quadratic_power(self.d, 1 + base.x, base.y, 2 * n)
+        conv = nth_convergent(self.expansion, index)
         length = self.period_length
         return CorrespondenceReport(
             d=self.d,
@@ -188,9 +206,11 @@ class PellSolver:
             period_length=length,
             parity="even" if length % 2 == 0 else "odd",
             convergent_index=index,
-            redei_value=redei_value,
-            convergent_value=conv_value,
-            equal=redei_value == conv_value,
+            redei_num=num,
+            redei_den=den,
+            convergent_p=conv.p,
+            convergent_q=conv.q,
+            equal=num * conv.q == den * conv.p,
         )
 
     def _checked(self, n: int, x: int, y: int, route: str) -> PellSolution:
@@ -235,6 +255,44 @@ def _quotient_product(quotients: Sequence[int]) -> tuple[int, int, int, int]:
             pairs.append(level[-1])
         level = pairs
     return level[0]
+
+
+def _convergent(expansion: SqrtExpansion, k: int) -> tuple[int, int]:
+    """(p, q), the k-th convergent, by a power of the period's matrix.
+
+    Convergent k is the first column of A(a0) * A(a1) * ... * A(ak), and
+    the quotients after a0 repeat with period L.  So for k = j*L + r with
+    0 <= r < L the product after A(a0) is P**j * R, where R multiplies the
+    first r period matrices and P = R * S the whole period, S the rest.
+    P**j is taken by square-and-multiply, O(log j) products of 2x2
+    matrices where the convergent walk takes k steps.  A square costs four
+    products by Cayley-Hamilton, M**2 = tr(M)*M - det(M)*I, and the last
+    one is applied to the column only.  Only quotient matrices are
+    multiplied, never the norm form, so this route stays independent of
+    the Redei kernel.
+    """
+    period = expansion.period
+    j, r = divmod(k, len(period))
+    ra, rb, rc, re = _quotient_product(period[:r])
+    sa, sb, sc, se = _quotient_product(period[r:])
+    pa, pb, pc, pe = ra * sa + rb * sc, ra * sb + rb * se, rc * sa + re * sc, rc * sb + re * se
+    sign = -1 if len(period) % 2 else 1  # det P, as each det A(a) = -1
+    # (u, v) = P**j * (ra, rc), the first column of P**j * R, taken as
+    # M**2 * P**(j % 2) * (ra, rc) with M = P**(j // 2).
+    u, v = ra, rc
+    if j % 2:
+        u, v = pa * u + pb * v, pc * u + pe * v
+    if j > 1:
+        a, b, c, e, det = pa, pb, pc, pe, sign
+        for bit in bin(j // 2)[3:]:
+            t = a + e
+            a, b, c, e, det = a * t - det, b * t, c * t, e * t - det, 1
+            if bit == "1":
+                a, b, c, e = a * pa + b * pc, a * pb + b * pe, c * pa + e * pc, c * pb + e * pe
+                det = sign
+        t = a + e
+        u, v = t * (a * u + b * v) - det * u, t * (c * u + e * v) - det * v
+    return expansion.a0 * u + v, u
 
 
 def minimal_solution(d: int) -> PellSolution:

@@ -176,12 +176,12 @@ class TestWrongProductTree:
 
 
 class TestWrongWalk:
-    """A convergent walk that returns a non-solution is caught by the one exact check."""
+    """A convergent route that returns a non-solution is caught by the one exact check."""
 
     @pytest.fixture(autouse=True)
-    def broken_walk(self, monkeypatch):
-        real = solver.nth_convergent
-        monkeypatch.setattr(solver, "nth_convergent", lambda expansion, k: real(expansion, k + 1))
+    def broken_route(self, monkeypatch):
+        real = solver._convergent
+        monkeypatch.setattr(solver, "_convergent", lambda expansion, k: real(expansion, k + 1))
 
     def test_library_raises(self):
         with pytest.raises(ConsistencyError, match="non-solution"):
@@ -193,6 +193,31 @@ class TestWrongWalk:
         assert code == 4
         assert captured.out == ""
         assert "non-solution" in captured.err
+
+
+class TestWitnessWalk:
+    """The sequential walk serves the witness alone: verify catches a wrong
+    walk, and solve never calls it."""
+
+    def test_wrong_walk_fails_verify(self, monkeypatch, capsys):
+        real = solver.nth_convergent
+        monkeypatch.setattr(solver, "nth_convergent", lambda expansion, k: real(expansion, k + 1))
+        code = main(["verify", "--d-max", "13", "--n-max", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "Redei value != convergent" in captured.err
+
+    def test_solve_does_not_walk(self, monkeypatch, capsys):
+        assert main(["solve", "--d", "61", "--n", "50", "--strategy", "redei"]) == 0
+        expected = capsys.readouterr()
+
+        def no_walk(expansion, k):
+            raise AssertionError("solve walked the convergents")
+
+        monkeypatch.setattr(solver, "nth_convergent", no_walk)
+        code = main(["solve", "--d", "61", "--n", "50", "--strategy", "cf"])
+        assert code == 0
+        assert capsys.readouterr() == expected
 
 
 class TestWrongFold:

@@ -22,7 +22,9 @@ from pellredei import (
     nth_solution,
     redei_rational,
     solutions,
+    sqrt_cf,
 )
+from pellredei.solver import _convergent
 
 
 class TestPellSolution:
@@ -135,6 +137,34 @@ class TestNthSolution:
                 by_redei = solver.nth_solution(n, Strategy.REDEI)
                 assert by_cf == by_pow == by_redei
                 assert by_cf.n == n
+
+
+def test_period_power_matches_convergent_walk():
+    # k = j*L + r runs over j = 0..3 and every r, with L = 1 and odd and even L.
+    for d in range(2, 301):
+        if brute_is_square(d):
+            continue
+        expansion = sqrt_cf(d)
+        for k in range(3 * expansion.period_length + 2):
+            conv = nth_convergent(expansion, k)
+            assert _convergent(expansion, k) == (conv.p, conv.q), (d, k)
+
+
+@pytest.mark.parametrize(
+    "d, ns",
+    [
+        (2, (1, 2, 7, 64)),
+        (13, (1, 2, 7, 64)),
+        (61, (1, 2, 7, 64)),
+        (1000003, (1, 2, 7, 64)),
+        # n = 64 here has 13.6 Mbit outputs and takes over a minute.
+        (10**10 + 19, (1, 2, 7)),
+    ],
+)
+def test_convergent_strategy_matches_redei_kernel(d, ns):
+    solver = PellSolver(d)
+    for n in ns:
+        assert solver.nth_solution(n, Strategy.CONVERGENT) == solver.nth_solution(n, Strategy.REDEI)
 
 
 @settings(max_examples=40, deadline=None, database=None)
