@@ -39,7 +39,7 @@ class HyperbolaPoint:
         require_nonsquare(self.d)
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
-        if self.x * self.x - self.d * self.y * self.y != 1:
+        if self.x * self.x - self.d * (self.y * self.y) != 1:
             point = f"({_brief(self.x)}, {_brief(self.y)})"
             raise ValueError(f"{point} is not on x^2 - {_brief(self.d)}y^2 = 1")
 

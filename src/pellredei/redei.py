@@ -16,6 +16,13 @@ evaluation.  The index-addition rules
 give a logarithmic-time one by binary doubling.  Both kernels compute in
 the ring of their inputs: integer d and z give integer pairs.
 
+When z**2 - d = 1 every pair has norm num**2 - d*den**2 = 1, so the
+doubled numerator num**2 + d*den**2 is 2*num**2 - 1, the Dickson step
+g_2(1, x) = x**2 - 2 on x = 2*num.  That holds on the hyperbola, for
+every Pell solution and every HyperbolaPoint power, and there a doubling
+costs one square and one product; any other input costs two squares and
+one product.
+
 Every power of a + b*sqrt(d) in the package is one call of the fast
 kernel: b*sqrt(d) = sqrt(d*b**2), so the pair at z = a over the radicand
 d*b**2, its denominator scaled by b, is that power (_quadratic_power).
@@ -85,12 +92,21 @@ def redei_pair_fast(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
 
     so only two values are carried per level, never a full matrix.
     Integer d and z keep every product in Z, with no gcd reduction.
+
+    The doubling costs one square and one product per level when
+    z**2 - d = 1, since the norm num**2 - d*den**2 then stays 1 and the
+    new numerator is 2*num**2 - 1; otherwise it costs two squares and
+    one product, with d*den**2 taken as d times the square den**2.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    unit_norm = z * z - d == 1
     num, den = 1, 0
     for bit in bin(n)[2:]:
-        num, den = num * num + d * den * den, 2 * num * den
+        if unit_norm:
+            num, den = 2 * (num * num) - 1, 2 * num * den
+        else:
+            num, den = num * num + d * (den * den), 2 * num * den
         if bit == "1":
             num, den = z * num + d * den, num + z * den
     return RedeiPair(d, z, n, num, den)

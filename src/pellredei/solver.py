@@ -66,7 +66,7 @@ class PellSolution:
             raise ValueError("solutions are numbered from 1")
         if self.x < 1 or self.y < 1:
             raise ValueError("positive solutions only")
-        if self.x * self.x - self.d * self.y * self.y != 1:
+        if self.x * self.x - self.d * (self.y * self.y) != 1:
             point = f"({_brief(self.x)}, {_brief(self.y)})"
             raise ValueError(f"{point} does not solve x^2 - {_brief(self.d)}y^2 = 1")
 
@@ -137,7 +137,11 @@ class PellSolver:
         h = (L - 1) // 2, the middle factor M = A(a_(L/2)) is there only
         when L is even, and the mirrored half is H^T because each A is
         symmetric.  For odd L that convergent (p, q) has norm -1, and its
-        square (p**2 + d*q**2, 2*p*q) is the minimal solution.
+        square (p**2 + d*q**2, 2*p*q) is the minimal solution; as
+        d*q**2 = p**2 + 1 there, it is taken as (2*p**2 + 1, 2*p*q).  A
+        wrong (p, q) still fails the check: x**2 - d*y**2 is then
+        4*p**2*(p**2 - d*q**2 + 1) + 1, which for p != 0 is 1 only at
+        norm -1.
         """
         a0, period = self.expansion.a0, self.expansion.period
         length = len(period)
@@ -149,7 +153,7 @@ class PellSolver:
             top, bottom = a * (a * middle + 2 * b), c * (a * middle + b) + a * e
         p, q = a0 * top + bottom, top
         if length % 2:
-            p, q = p * p + self.d * q * q, 2 * p * q
+            p, q = 2 * (p * p) + 1, 2 * p * q
         return self._checked(1, p, q, "the product tree")
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:

@@ -121,6 +121,26 @@ class TestHugeValuesInMessages:
         assert "disagree" in err and "bit number" in err
 
 
+class TestCheckAtScale:
+    """The exact check on a 2^18-bit solution still rejects a neighbour off by one."""
+
+    @pytest.fixture(scope="class")
+    def solution(self):
+        solution = PellSolver(61).nth_solution(8456)
+        assert solution.x.bit_length() >= 2**18
+        return solution
+
+    @pytest.mark.parametrize("dx, dy", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    def test_pell_solution_rejects_neighbours(self, solution, dx, dy):
+        with pytest.raises(ValueError, match="does not solve"):
+            PellSolution(61, 8456, solution.x + dx, solution.y + dy)
+
+    @pytest.mark.parametrize("dx, dy", [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    def test_hyperbola_point_rejects_neighbours(self, solution, dx, dy):
+        with pytest.raises(ValueError, match="is not on"):
+            HyperbolaPoint(61, solution.x + dx, solution.y + dy)
+
+
 class TestWrongKernel:
     """A kernel that returns a non-solution is caught by the one exact check."""
 
@@ -150,7 +170,13 @@ class TestWrongKernel:
 
 class TestWrongProductTree:
     """A product tree that returns a non-solution is caught when the
-    fundamental is built, which is also the one check of n = 1."""
+    fundamental is built, which is also the one check of n = 1.
+
+    d = 61 has odd period length 11, so the tree's convergent is squared
+    to (2*p**2 + 1, 2*p*q); TestWrongProductTreeEvenPeriod runs the same
+    tests on the even branch."""
+
+    d = 61
 
     @pytest.fixture(autouse=True)
     def broken_tree(self, monkeypatch):
@@ -165,14 +191,20 @@ class TestWrongProductTree:
     @pytest.mark.parametrize("strategy", [Strategy.REDEI, Strategy.POWER])
     def test_library_raises(self, strategy):
         with pytest.raises(ConsistencyError, match="non-solution"):
-            PellSolver(61).nth_solution(1, strategy)
+            PellSolver(self.d).nth_solution(1, strategy)
 
     def test_cli_exit_code_4(self, capsys):
-        code = main(["solve", "--d", "61"])
+        code = main(["solve", "--d", str(self.d)])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert "non-solution" in captured.err
+
+
+class TestWrongProductTreeEvenPeriod(TestWrongProductTree):
+    """d = 7 has even period length 4: the tree's convergent is the solution."""
+
+    d = 7
 
 
 class TestWrongWalk:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from oracles import (
 )
 from pellredei import (
     INF,
+    PellSolver,
     dickson,
     redei_pair_fast,
     redei_pair_linear,
@@ -97,6 +99,55 @@ class TestPairValues:
             slow = redei_pair_linear(d, z, n)
             assert (fast.num, fast.den) == (slow.num, slow.den)
             assert fast.num**2 - d * fast.den**2 == (z * z - d) ** n
+
+
+# (d, z) with z**2 - d = 1, where the kernel doubles by 2*num**2 - 1: the
+# Pell calls z = x1 over d = x1**2 - 1, and HyperbolaPoint's rational ones.
+UNIT_NORM_INPUTS = [
+    (x1 * x1 - 1, x1) for x1 in (2, 3, 9, 649, 1766319049)
+] + [
+    (Fraction(9, 16), Fraction(5, 4)),
+    (Fraction(2 * 10**2, 23**2), Fraction(27, 23)),
+    (Fraction(7 * 4**2, 27**2), Fraction(-29, 27)),
+]
+
+# (d, z) with z**2 - d in {-1, 0, 2}, which take the general doubling; the
+# last is the verify witness, z = 1 + x1 over d*y1**2, where z**2 - d = 2 + 2*x1.
+GENERAL_INPUTS = [
+    (10, 3),
+    (9, 3),
+    (7, 3),
+    (Fraction(5, 4), Fraction(1, 2)),
+    (Fraction(9, 4), Fraction(-3, 2)),
+    (Fraction(1, 4), Fraction(3, 2)),
+    (61 * 226153980**2, 1 + 1766319049),
+]
+
+
+class TestUnitNormDoubling:
+    def test_inputs_take_the_intended_doubling(self):
+        assert all(z * z - d == 1 for d, z in UNIT_NORM_INPUTS)
+        assert all(z * z - d != 1 for d, z in GENERAL_INPUTS)
+
+    @pytest.mark.parametrize("d, z", UNIT_NORM_INPUTS + GENERAL_INPUTS)
+    def test_fast_equals_linear(self, d, z):
+        norm = z * z - d
+        for n in range(201):
+            fast = redei_pair_fast(d, z, n)
+            slow = redei_pair_linear(d, z, n)
+            assert (fast.num, fast.den) == (slow.num, slow.den)
+            assert fast.num**2 - d * fast.den**2 == norm**n
+
+    @pytest.mark.parametrize("d", [2, 13, 61])
+    def test_deep_indices_match_linear_fold(self, d):
+        solver = PellSolver(d)
+        x1, y1 = solver.fundamental.x, solver.fundamental.y
+        indices = (1000, 1024, 1025)
+        fold = itertools.islice(solver.solutions(), max(indices))
+        for solution in fold:
+            if solution.n in indices:
+                pair = redei_pair_fast(x1 * x1 - 1, x1, solution.n)
+                assert (pair.num, y1 * pair.den) == (solution.x, solution.y)
 
 
 class TestRationalFunction:
