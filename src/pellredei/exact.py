@@ -74,8 +74,10 @@ def decimal_digits(n: int) -> int:
     """Number of decimal digits of |n| (0 counts as one digit).
 
     Works on integers far beyond the interpreter's int-to-str conversion
-    limit: estimate from the bit length, then correct by exact comparison
-    with powers of ten.
+    limit: estimate from the bit length, then correct downward by exact
+    comparison with powers of ten.  As n < 2**bits and 30103/100000 >
+    log10(2), the estimate bits*30103 // 100000 is never below
+    floor(log10(n)), so no upward correction is needed.
     """
     n = abs(n)
     if n < 10:
@@ -83,8 +85,6 @@ def decimal_digits(n: int) -> int:
     est = n.bit_length() * 30103 // 100000
     while 10**est > n:
         est -= 1
-    while 10 ** (est + 1) <= n:
-        est += 1
     return est + 1
 
 

@@ -7,13 +7,14 @@ The solution set is the cyclic group generated by the minimal solution
 (x1, y1) inside the hyperbola group, so the n-th solution is also the
 power (x1 + y1*sqrt(d))**n.
 
-The fast path finds (x1, y1) from the half-period expansion by a balanced
-product tree of partial-quotient matrices, and the redei and power
-strategies share one integer Redei call for its power.  The cf strategy
-takes the solution's convergent as a power of the period's quotient
-matrix, also in O(log n) products.  The sequential convergent walk is
-the independent witness, checked against the paper's Redei value by the
-same integer call.
+One route reads every solution convergent: a balanced product tree over
+the half period gives the first column of the period's symmetric part,
+and two scalars carry the period matrix's power, in O(log n) products.
+The fundamental is that route at n = 1, the cf strategy the same route
+at n; the redei and power strategies share one integer Redei call for
+(x1 + y1*sqrt(d))**n.  The sequential convergent walk is the independent
+witness, checked against the paper's Redei value by the same integer
+call.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 """
@@ -130,48 +131,33 @@ class PellSolver:
 
     @cached_property
     def fundamental(self) -> PellSolution:
-        """The minimal solution, from half the period by a product tree.
+        """The minimal solution: the convergent route at n = 1.
 
-        With A(a) = [[a, 1], [1, 0]], convergent L - 1 is the first column
-        of A(a0) * H * [M] * H^T: H multiplies A(a1)..A(ah) for
-        h = (L - 1) // 2, the middle factor M = A(a_(L/2)) is there only
-        when L is even, and the mirrored half is H^T because each A is
-        symmetric.  For odd L that convergent (p, q) has norm -1, and its
-        square (p**2 + d*q**2, 2*p*q) is the minimal solution; as
-        d*q**2 = p**2 + 1 there, it is taken as (2*p**2 + 1, 2*p*q).  A
-        wrong (p, q) still fails the check: x**2 - d*y**2 is then
-        4*p**2*(p**2 - d*q**2 + 1) + 1, which for p != 0 is 1 only at
-        norm -1.
+        Its convergent has index L - 1, or 2L - 1 when L is odd, so it is
+        _convergent at j = 0 or j = 1, the half-period product tree and
+        one power step at most.
         """
-        a0, period = self.expansion.a0, self.expansion.period
-        length = len(period)
-        a, b, c, e = _quotient_product(period[: (length - 1) // 2])
-        if length % 2:
-            top, bottom = a * a + b * b, a * c + b * e
-        else:
-            middle = period[length // 2 - 1]
-            top, bottom = a * (a * middle + 2 * b), c * (a * middle + b) + a * e
-        p, q = a0 * top + bottom, top
-        if length % 2:
-            p, q = 2 * (p * p) + 1, 2 * p * q
-        return self._checked(1, p, q, "the product tree")
+        j = self.fundamental_index // self.period_length
+        return self._checked(1, *_convergent(self.expansion, j), "the product tree")
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution by the chosen strategy (n >= 1).
 
-        Redei and power take (x1 + y1*sqrt(d))**n by one integer Redei
-        call, in O(log n) products.  The convergent route takes convergent
-        solution_index(n) as a power of the period's quotient matrix, also
-        in O(log n) products, without the norm form or the Redei kernel.
+        Every strategy returns the fundamental itself at n = 1.  Redei and
+        power take (x1 + y1*sqrt(d))**n by one integer Redei call, in
+        O(log n) products.  The convergent route takes convergent
+        solution_index(n) from the same half-period column as the
+        fundamental, powered by two scalars in O(log n) products, without
+        the norm form or the Redei kernel.
         """
         if n < 1:
             raise ValueError("solutions are numbered from 1")
+        if n == 1:
+            return self.fundamental
         if strategy in (Strategy.REDEI, Strategy.POWER):
-            if n == 1:
-                return self.fundamental
             x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
         elif strategy is Strategy.CONVERGENT:
-            x, y = _convergent(self.expansion, self.solution_index(n))
+            x, y = _convergent(self.expansion, self.solution_index(n) // self.period_length)
         else:
             raise ValueError(f"unknown strategy: {strategy!r}")
         return self._checked(n, x, y, f"{strategy.value} strategy")
@@ -261,42 +247,41 @@ def _quotient_product(quotients: Sequence[int]) -> tuple[int, int, int, int]:
     return level[0]
 
 
-def _convergent(expansion: SqrtExpansion, k: int) -> tuple[int, int]:
-    """(p, q), the k-th convergent, by a power of the period's matrix.
+def _convergent(expansion: SqrtExpansion, j: int) -> tuple[int, int]:
+    """(p, q), convergent j*L + L - 1, the one route to a solution convergent.
 
-    Convergent k is the first column of A(a0) * A(a1) * ... * A(ak), and
-    the quotients after a0 repeat with period L.  So for k = j*L + r with
-    0 <= r < L the product after A(a0) is P**j * R, where R multiplies the
-    first r period matrices and P = R * S the whole period, S the rest.
-    P**j is taken by square-and-multiply, O(log j) products of 2x2
-    matrices where the convergent walk takes k steps.  A square costs four
-    products by Cayley-Hamilton, M**2 = tr(M)*M - det(M)*I, and the last
-    one is applied to the column only.  Only quotient matrices are
-    multiplied, never the norm form, so this route stays independent of
-    the Redei kernel.
+    With A(a) = [[a, 1], [1, 0]], that convergent is the first column of
+    A(a0) * P**j * R, where R = A(a1) * ... * A(a_(L-1)) and P = R * A(2*a0)
+    multiplies one period.  R = H * [M] * H^T: H multiplies A(a1)..A(ah)
+    for h = (L - 1) // 2, the middle factor M = A(a_(L/2)) is there only
+    when L is even, and the mirrored half is H^T because each A is
+    symmetric.  So R is symmetric, and with (x, y) its first column,
+    P * (x, y) = (t*x, t*y - det) for t = tr P = 2*(a0*x + y) and
+    det = det P = (-1)**L.  By Cayley-Hamilton, P**2 = t*P - det*I, so
+    P**j = alpha*P + beta*I is carried as two scalars: a square is
+    (alpha*(alpha*t + 2*beta), beta**2 - det*alpha**2) and a step by P is
+    (alpha*t + beta, -det*alpha), O(log j) products in all.  The column
+    is then P**j * (x, y) = (x*s, y*s - det*alpha) for s = alpha*t + beta.
+    Only quotient matrices are multiplied, never the norm form, so this
+    route stays independent of the Redei kernel.
     """
-    period = expansion.period
-    j, r = divmod(k, len(period))
-    ra, rb, rc, re = _quotient_product(period[:r])
-    sa, sb, sc, se = _quotient_product(period[r:])
-    pa, pb, pc, pe = ra * sa + rb * sc, ra * sb + rb * se, rc * sa + re * sc, rc * sb + re * se
-    sign = -1 if len(period) % 2 else 1  # det P, as each det A(a) = -1
-    # (u, v) = P**j * (ra, rc), the first column of P**j * R, taken as
-    # M**2 * P**(j % 2) * (ra, rc) with M = P**(j // 2).
-    u, v = ra, rc
-    if j % 2:
-        u, v = pa * u + pb * v, pc * u + pe * v
-    if j > 1:
-        a, b, c, e, det = pa, pb, pc, pe, sign
-        for bit in bin(j // 2)[3:]:
-            t = a + e
-            a, b, c, e, det = a * t - det, b * t, c * t, e * t - det, 1
-            if bit == "1":
-                a, b, c, e = a * pa + b * pc, a * pb + b * pe, c * pa + e * pc, c * pb + e * pe
-                det = sign
-        t = a + e
-        u, v = t * (a * u + b * v) - det * u, t * (c * u + e * v) - det * v
-    return expansion.a0 * u + v, u
+    a0, period = expansion.a0, expansion.period
+    length = len(period)
+    a, b, c, e = _quotient_product(period[: (length - 1) // 2])
+    if length % 2:
+        x, y = a * a + b * b, c * a + e * b
+    else:
+        middle = period[length // 2 - 1]
+        x, y = a * (a * middle + 2 * b), c * (a * middle + b) + a * e
+    t, det = 2 * (a0 * x + y), -1 if length % 2 else 1
+    alpha, beta = 0, 1
+    for bit in bin(j)[2:]:
+        alpha, beta = alpha * (alpha * t + 2 * beta), beta * beta - det * (alpha * alpha)
+        if bit == "1":
+            alpha, beta = alpha * t + beta, -det * alpha
+    s = alpha * t + beta
+    u, v = x * s, y * s - det * alpha
+    return a0 * u + v, u
 
 
 def minimal_solution(d: int) -> PellSolution:

@@ -172,9 +172,9 @@ class TestWrongProductTree:
     """A product tree that returns a non-solution is caught when the
     fundamental is built, which is also the one check of n = 1.
 
-    d = 61 has odd period length 11, so the tree's convergent is squared
-    to (2*p**2 + 1, 2*p*q); TestWrongProductTreeEvenPeriod runs the same
-    tests on the even branch."""
+    d = 61 has odd period length 11, so the tree's column takes one power
+    step; TestWrongProductTreeEvenPeriod runs the same tests on the even
+    branch."""
 
     d = 61
 
@@ -202,7 +202,7 @@ class TestWrongProductTree:
 
 
 class TestWrongProductTreeEvenPeriod(TestWrongProductTree):
-    """d = 7 has even period length 4: the tree's convergent is the solution."""
+    """d = 7 has even period length 4: the tree's column gives the solution."""
 
     d = 7
 
@@ -213,7 +213,7 @@ class TestWrongWalk:
     @pytest.fixture(autouse=True)
     def broken_route(self, monkeypatch):
         real = solver._convergent
-        monkeypatch.setattr(solver, "_convergent", lambda expansion, k: real(expansion, k + 1))
+        monkeypatch.setattr(solver, "_convergent", lambda expansion, j: real(expansion, j + 1))
 
     def test_library_raises(self):
         with pytest.raises(ConsistencyError, match="non-solution"):
@@ -250,6 +250,22 @@ class TestWitnessWalk:
         code = main(["solve", "--d", "61", "--n", "50", "--strategy", "cf"])
         assert code == 0
         assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("d", ["2", "7", "61"])
+def test_convergent_route_never_calls_the_kernel(monkeypatch, capsys, d):
+    """solve --strategy cf, fundamental included, runs without the Redei
+    kernel: L = 1 at d = 2, even L at d = 7, odd L at d = 61."""
+    assert main(["solve", "--d", d, "--n", "50", "--strategy", "redei"]) == 0
+    expected = capsys.readouterr()
+
+    def no_kernel(*args):
+        raise AssertionError("the cf route called the Redei kernel")
+
+    monkeypatch.setattr(solver, "_quadratic_power", no_kernel)
+    code = main(["solve", "--d", d, "--n", "50", "--strategy", "cf"])
+    assert code == 0
+    assert capsys.readouterr() == expected
 
 
 class TestWrongFold:

@@ -72,6 +72,12 @@ class TestDecimalDigits:
             assert decimal_digits(10**k - 1) == k
             assert decimal_digits(10**k + 1) == k + 1
 
+    def test_both_ends_of_every_bit_length(self):
+        # The estimate from the bit length is never corrected upward.
+        for bits in range(1, 14001):
+            for n in (2 ** (bits - 1), 2**bits - 1):
+                assert decimal_digits(n) == len(str(n)), n.bit_length()
+
 
 class TestRequireNonsquare:
     def test_passes_through(self):

@@ -97,6 +97,12 @@ class TestMinimalSolution:
         for strategy in (Strategy.REDEI, Strategy.POWER):
             assert solver.nth_solution(1, strategy) is solver.fundamental
 
+    @pytest.mark.parametrize("d", [2, 7, 61])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_every_strategy_returns_the_fundamental_at_n_1(self, d, strategy):
+        solver = PellSolver(d)
+        assert solver.nth_solution(1, strategy) is solver.fundamental
+
     def test_truly_minimal_by_direct_scan(self):
         for d in range(2, 31):
             if brute_is_square(d):
@@ -140,14 +146,24 @@ class TestNthSolution:
 
 
 def test_period_power_matches_convergent_walk():
-    # k = j*L + r runs over j = 0..3 and every r, with L = 1 and odd and even L.
+    # Convergent j*L + L - 1 for j = 0..8, with L = 1 and odd and even L.
     for d in range(2, 301):
         if brute_is_square(d):
             continue
         expansion = sqrt_cf(d)
-        for k in range(3 * expansion.period_length + 2):
-            conv = nth_convergent(expansion, k)
-            assert _convergent(expansion, k) == (conv.p, conv.q), (d, k)
+        length = expansion.period_length
+        for j in range(9):
+            conv = nth_convergent(expansion, j * length + length - 1)
+            assert _convergent(expansion, j) == (conv.p, conv.q), (d, j)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=st.integers(2, 10**5).filter(lambda d: not brute_is_square(d)), j=st.integers(0, 12))
+def test_two_scalar_power_matches_convergent_walk(d, j):
+    expansion = sqrt_cf(d)
+    length = expansion.period_length
+    conv = nth_convergent(expansion, j * length + length - 1)
+    assert _convergent(expansion, j) == (conv.p, conv.q)
 
 
 @pytest.mark.parametrize(
