@@ -164,10 +164,7 @@ def _text(value: object) -> object:
 
 def _formatted(command: str, records: Iterable[dict]) -> Iterator[dict]:
     for record in records:
-        out = {"command": command}
-        for key, value in record.items():
-            out[key] = _text(value)
-        yield out
+        yield _text({"command": command, **record})
 
 
 def _render_json(records: Iterable[dict]) -> None:

@@ -11,9 +11,7 @@ The convergent stream and nth_convergent share one recurrence, which
 walks the partial quotients one at a time on plain ints; nth_convergent
 builds a Convergent only for the index asked for.  The walk is quadratic
 in the size of its output and is kept as the plain witness and test
-oracle: the solver reads every solution convergent, the minimal one and
-the cf strategy's alike, off a product tree over the half period and a
-two-scalar power of the period's matrix instead.
+oracle; the solver's route to a solution convergent is solver._convergent.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ power (x1 + y1*sqrt(d))**n.
 One route reads every solution convergent: a balanced product tree over
 the half period gives the first column of the period's symmetric part,
 and two scalars carry the period matrix's power, in O(log n) products.
-The fundamental is that route at n = 1, the cf strategy the same route
-at n; the redei and power strategies share one integer Redei call for
-(x1 + y1*sqrt(d))**n.  The sequential convergent walk is the independent
-witness, checked against the paper's Redei value by the same integer
-call.
+The fundamental is that route at solution_index(1), the cf strategy the
+same route at solution_index(n); the redei and power strategies share
+one integer Redei call for (x1 + y1*sqrt(d))**n.  The sequential
+convergent walk is the independent witness, checked against the paper's
+Redei value by the same integer call.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 """
@@ -131,35 +131,35 @@ class PellSolver:
 
     @cached_property
     def fundamental(self) -> PellSolution:
-        """The minimal solution: the convergent route at n = 1.
+        """The minimal solution: _convergent at fundamental_index.
 
-        Its convergent has index L - 1, or 2L - 1 when L is odd, so it is
-        _convergent at j = 0 or j = 1, the half-period product tree and
-        one power step at most.
+        That index is L - 1, or 2L - 1 when L is odd, so the route is the
+        half-period product tree and one power step at most.
         """
-        j = self.fundamental_index // self.period_length
-        return self._checked(1, *_convergent(self.expansion, j), "the product tree")
+        x, y = _convergent(self.expansion, self.fundamental_index)
+        return self._checked(1, x, y, "the product tree")
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution by the chosen strategy (n >= 1).
 
-        Every strategy returns the fundamental itself at n = 1.  Redei and
-        power take (x1 + y1*sqrt(d))**n by one integer Redei call, in
-        O(log n) products.  The convergent route takes convergent
-        solution_index(n) from the same half-period column as the
-        fundamental, powered by two scalars in O(log n) products, without
-        the norm form or the Redei kernel.
+        The request is checked before any work: a non-Strategy raises
+        ValueError, as does n < 1 (by solution_index).  Then every strategy
+        returns the fundamental itself at n = 1.  The convergent route
+        takes convergent solution_index(n) from the same half-period column
+        as the fundamental, powered by two scalars in O(log n) products,
+        without the norm form or the Redei kernel.  Redei and power take
+        (x1 + y1*sqrt(d))**n by one integer Redei call, in O(log n)
+        products.
         """
-        if n < 1:
-            raise ValueError("solutions are numbered from 1")
+        if not isinstance(strategy, Strategy):
+            raise ValueError(f"unknown strategy: {strategy!r}")
+        index = self.solution_index(n)
         if n == 1:
             return self.fundamental
-        if strategy in (Strategy.REDEI, Strategy.POWER):
-            x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
-        elif strategy is Strategy.CONVERGENT:
-            x, y = _convergent(self.expansion, self.solution_index(n) // self.period_length)
+        if strategy is Strategy.CONVERGENT:
+            x, y = _convergent(self.expansion, index)
         else:
-            raise ValueError(f"unknown strategy: {strategy!r}")
+            x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
         return self._checked(n, x, y, f"{strategy.value} strategy")
 
     def solutions(self) -> Iterator[PellSolution]:
@@ -247,10 +247,13 @@ def _quotient_product(quotients: Sequence[int]) -> tuple[int, int, int, int]:
     return level[0]
 
 
-def _convergent(expansion: SqrtExpansion, j: int) -> tuple[int, int]:
-    """(p, q), convergent j*L + L - 1, the one route to a solution convergent.
+def _convergent(expansion: SqrtExpansion, k: int) -> tuple[int, int]:
+    """(p, q), convergent k, the one route to a solution convergent.
 
-    With A(a) = [[a, 1], [1, 0]], that convergent is the first column of
+    k is a solution index as solution_index gives it: k = j*L + L - 1
+    for j = k // L whole periods.
+
+    With A(a) = [[a, 1], [1, 0]], convergent k is the first column of
     A(a0) * P**j * R, where R = A(a1) * ... * A(a_(L-1)) and P = R * A(2*a0)
     multiplies one period.  R = H * [M] * H^T: H multiplies A(a1)..A(ah)
     for h = (L - 1) // 2, the middle factor M = A(a_(L/2)) is there only
@@ -275,7 +278,7 @@ def _convergent(expansion: SqrtExpansion, j: int) -> tuple[int, int]:
         x, y = a * (a * middle + 2 * b), c * (a * middle + b) + a * e
     t, det = 2 * (a0 * x + y), -1 if length % 2 else 1
     alpha, beta = 0, 1
-    for bit in bin(j)[2:]:
+    for bit in bin(k // length)[2:]:
         alpha, beta = alpha * (alpha * t + 2 * beta), beta * beta - det * (alpha * alpha)
         if bit == "1":
             alpha, beta = alpha * t + beta, -det * alpha

@@ -213,7 +213,11 @@ class TestWrongWalk:
     @pytest.fixture(autouse=True)
     def broken_route(self, monkeypatch):
         real = solver._convergent
-        monkeypatch.setattr(solver, "_convergent", lambda expansion, j: real(expansion, j + 1))
+        monkeypatch.setattr(
+            solver,
+            "_convergent",
+            lambda expansion, k: real(expansion, k + expansion.period_length),
+        )
 
     def test_library_raises(self):
         with pytest.raises(ConsistencyError, match="non-solution"):

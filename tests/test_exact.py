@@ -211,3 +211,31 @@ class TestQuadraticElement:
         assert QuadraticElement(3, 1, 2) != 3
         assert QuadraticElement(3, 1, 2) != QuadraticElement(3, 1, 5)
         assert hash(QuadraticElement(3, 0, 2)) == hash(Fraction(3))
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda e: e + "x",
+            lambda e: e - "x",
+            lambda e: e * "x",
+            lambda e: e / "x",
+            lambda e: "x" / e,
+        ],
+        ids=["add", "sub", "mul", "truediv", "rtruediv"],
+    )
+    def test_foreign_operand_raises_type_error(self, operation):
+        with pytest.raises(TypeError):
+            operation(QuadraticElement(3, 2, 2))
+
+    def test_reflected_subtraction_and_foreign_equality(self):
+        e = QuadraticElement(3, 2, 2)
+        assert 1 - e == QuadraticElement(-2, -2, 2)
+        assert (e == "x") is False
+
+    def test_equal_irrational_elements_hash_equal(self):
+        e, f = QuadraticElement(Fraction(6, 2), 2, 7), QuadraticElement(3, Fraction(4, 2), 7)
+        assert e == f
+        assert hash(e) == hash(f)
+
+    def test_repr(self):
+        assert repr(QuadraticElement(1, 1, 2)) == "(1 + 1*sqrt(2))"

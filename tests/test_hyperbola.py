@@ -64,6 +64,10 @@ class TestGroupLaw:
         with pytest.raises(ValueError):
             HyperbolaPoint(2, 3, 2) * HyperbolaPoint(3, 2, 1)
 
+    def test_non_point_operand_raises_type_error(self):
+        with pytest.raises(TypeError):
+            HyperbolaPoint(2, 3, 2) * 3
+
     def test_group_axioms(self):
         rng = random.Random(401)
         for _ in range(120):

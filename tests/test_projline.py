@@ -27,6 +27,13 @@ class TestProduct:
         with pytest.raises(PerfectSquareError):
             LineGroup(9)
 
+    def test_non_point_rejected(self):
+        with pytest.raises(TypeError, match="not a point of the projective line"):
+            LineGroup(2).mul("x", 1)
+
+    def test_repr(self):
+        assert repr(LineGroup(2)) == "LineGroup(d=2)"
+
     def test_group_axioms(self):
         rng = random.Random(301)
         for _ in range(150):
@@ -121,6 +128,10 @@ class TestFieldTransport:
         g = LineGroup(2)
         with pytest.raises(ValueError):
             g.to_multiplicative(QuadraticElement(1, 1, 3))
+
+    def test_non_field_value_rejected(self):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            LineGroup(2).from_multiplicative("x")
 
 
 class TestRescale:

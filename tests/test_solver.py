@@ -132,6 +132,15 @@ class TestNthSolution:
         with pytest.raises(ValueError):
             nth_solution(2, 0)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unknown_strategy_rejected_before_the_n_1_shortcut(self, n):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            PellSolver(61).nth_solution(n, "cf")
+
+    def test_module_level_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            nth_solution(61, 1, "cf")
+
     def test_strategies_agree(self):
         for d in range(2, 201):
             if brute_is_square(d):
@@ -153,8 +162,9 @@ def test_period_power_matches_convergent_walk():
         expansion = sqrt_cf(d)
         length = expansion.period_length
         for j in range(9):
-            conv = nth_convergent(expansion, j * length + length - 1)
-            assert _convergent(expansion, j) == (conv.p, conv.q), (d, j)
+            k = j * length + length - 1
+            conv = nth_convergent(expansion, k)
+            assert _convergent(expansion, k) == (conv.p, conv.q), (d, j)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -162,8 +172,9 @@ def test_period_power_matches_convergent_walk():
 def test_two_scalar_power_matches_convergent_walk(d, j):
     expansion = sqrt_cf(d)
     length = expansion.period_length
-    conv = nth_convergent(expansion, j * length + length - 1)
-    assert _convergent(expansion, j) == (conv.p, conv.q)
+    k = j * length + length - 1
+    conv = nth_convergent(expansion, k)
+    assert _convergent(expansion, k) == (conv.p, conv.q)
 
 
 @pytest.mark.parametrize(
