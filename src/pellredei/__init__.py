@@ -1,11 +1,12 @@
 """Exact solutions of x**2 - d*y**2 = 1 and the algebra that makes them fast.
 
 The package keeps every computation in Z, Q, or Q(sqrt(d)) -- there is
-no floating point anywhere.  The minimal solution comes from half a
-period of the continued fraction of sqrt(d) by a product tree.  Every
-power of a + b*sqrt(d) -- the n-th solution, a hyperbola point's power,
-the witness's Redei value -- is one call of the Redei kernel, in
-O(log n) products; the convergent walk stays the independent witness.
+no floating point anywhere.  The period unit comes from half a period
+of the continued fraction of sqrt(d) by a product tree.  Every power of
+a + b*sqrt(d) -- the n-th solution, a solution convergent as a power of
+the period unit, a hyperbola point's power, the witness's Redei value --
+is one call of the Redei kernel, in O(log n) products; the convergent
+walk stays the independent witness.
 A small CLI (`pellredei`) exposes both, plus a benchmark contrasting the
 linear fold with the logarithmic route.  The public API is the union of
 the modules' ``__all__`` lists, each name declared where it is defined.

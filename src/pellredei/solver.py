@@ -8,13 +8,14 @@ The solution set is the cyclic group generated by the minimal solution
 power (x1 + y1*sqrt(d))**n.
 
 One route reads every solution convergent: a balanced product tree over
-the half period gives the first column of the period's symmetric part,
-and two scalars carry the period matrix's power, in O(log n) products.
-The fundamental is that route at solution_index(1), the cf strategy the
-same route at solution_index(n); the redei and power strategies share
-one integer Redei call for (x1 + y1*sqrt(d))**n.  The sequential
-convergent walk is the independent witness, checked against the paper's
-Redei value by the same integer call.
+the half period gives convergent L - 1, the period unit, and convergent
+j*L + L - 1 is its power j + 1, one integer Redei call in O(log n)
+products.  The fundamental is that route at solution_index(1), the cf
+strategy the same route at solution_index(n); the redei and power
+strategies share one Redei call for (x1 + y1*sqrt(d))**n.  Neither the
+sequential convergent walk nor the linear fold's steps call the kernel:
+the walk is the independent witness, checked against the paper's Redei
+value, and the fold is what bench times the kernel against.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 """
@@ -22,6 +23,7 @@ PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -121,7 +123,11 @@ class PellSolver:
         return self.solution_index(1)
 
     def solution_index(self, n: int) -> int:
-        """Convergent index of the n-th solution (parity rule on the period)."""
+        """Convergent index of the n-th solution (parity rule on the period).
+
+        n must be an integer: a float or a Fraction raises TypeError.
+        """
+        n = operator.index(n)
         if n < 1:
             raise ValueError("solutions are numbered from 1")
         length = self.period_length
@@ -134,7 +140,8 @@ class PellSolver:
         """The minimal solution: _convergent at fundamental_index.
 
         That index is L - 1, or 2L - 1 when L is odd, so the route is the
-        half-period product tree and one power step at most.
+        half-period product tree, and for odd L one kernel call that
+        squares the period unit.
         """
         x, y = _convergent(self.expansion, self.fundamental_index)
         return self._checked(1, x, y, "the product tree")
@@ -143,13 +150,13 @@ class PellSolver:
         """The n-th solution by the chosen strategy (n >= 1).
 
         The request is checked before any work: a non-Strategy raises
-        ValueError, as does n < 1 (by solution_index).  Then every strategy
-        returns the fundamental itself at n = 1.  The convergent route
-        takes convergent solution_index(n) from the same half-period column
-        as the fundamental, powered by two scalars in O(log n) products,
-        without the norm form or the Redei kernel.  Redei and power take
-        (x1 + y1*sqrt(d))**n by one integer Redei call, in O(log n)
-        products.
+        ValueError, and solution_index rejects n < 1 with ValueError and a
+        non-integer n with TypeError.  Then every strategy returns the
+        fundamental itself at n = 1.  The convergent route takes
+        convergent solution_index(n) as a power of the period unit, from
+        the same half-period tree as the fundamental.  Redei and power
+        take (x1 + y1*sqrt(d))**n.  Each is one integer Redei call, in
+        O(log n) products.
         """
         if not isinstance(strategy, Strategy):
             raise ValueError(f"unknown strategy: {strategy!r}")
@@ -248,25 +255,16 @@ def _quotient_product(quotients: Sequence[int]) -> tuple[int, int, int, int]:
 
 
 def _convergent(expansion: SqrtExpansion, k: int) -> tuple[int, int]:
-    """(p, q), convergent k, the one route to a solution convergent.
+    """(p, q), convergent k, for a solution index k = j*L + L - 1.
 
-    k is a solution index as solution_index gives it: k = j*L + L - 1
-    for j = k // L whole periods.
-
-    With A(a) = [[a, 1], [1, 0]], convergent k is the first column of
-    A(a0) * P**j * R, where R = A(a1) * ... * A(a_(L-1)) and P = R * A(2*a0)
-    multiplies one period.  R = H * [M] * H^T: H multiplies A(a1)..A(ah)
-    for h = (L - 1) // 2, the middle factor M = A(a_(L/2)) is there only
-    when L is even, and the mirrored half is H^T because each A is
-    symmetric.  So R is symmetric, and with (x, y) its first column,
-    P * (x, y) = (t*x, t*y - det) for t = tr P = 2*(a0*x + y) and
-    det = det P = (-1)**L.  By Cayley-Hamilton, P**2 = t*P - det*I, so
-    P**j = alpha*P + beta*I is carried as two scalars: a square is
-    (alpha*(alpha*t + 2*beta), beta**2 - det*alpha**2) and a step by P is
-    (alpha*t + beta, -det*alpha), O(log j) products in all.  The column
-    is then P**j * (x, y) = (x*s, y*s - det*alpha) for s = alpha*t + beta.
-    Only quotient matrices are multiplied, never the norm form, so this
-    route stays independent of the Redei kernel.
+    With A(a) = [[a, 1], [1, 0]], convergent L - 1 is the first column of
+    A(a0) * R for R = A(a1) * ... * A(a_(L-1)) = H * [M] * H^T: H is the
+    product tree over the first half, the middle factor M is there only
+    when L is even, and R is symmetric because each A is.  That
+    convergent is the period unit p + q*sqrt(d), and convergent k is its
+    power j + 1 (Lenstra, Notices AMS 49, 2002): one Redei kernel call.
+    At one period, every even-L fundamental, the unit is returned as it
+    is, since the kernel's first power still costs full-size products.
     """
     a0, period = expansion.a0, expansion.period
     length = len(period)
@@ -276,15 +274,10 @@ def _convergent(expansion: SqrtExpansion, k: int) -> tuple[int, int]:
     else:
         middle = period[length // 2 - 1]
         x, y = a * (a * middle + 2 * b), c * (a * middle + b) + a * e
-    t, det = 2 * (a0 * x + y), -1 if length % 2 else 1
-    alpha, beta = 0, 1
-    for bit in bin(k // length)[2:]:
-        alpha, beta = alpha * (alpha * t + 2 * beta), beta * beta - det * (alpha * alpha)
-        if bit == "1":
-            alpha, beta = alpha * t + beta, -det * alpha
-    s = alpha * t + beta
-    u, v = x * s, y * s - det * alpha
-    return a0 * u + v, u
+    p, q = a0 * x + y, x
+    if k < length:
+        return p, q
+    return _quadratic_power(expansion.d, p, q, k // length + 1)
 
 
 def minimal_solution(d: int) -> PellSolution:

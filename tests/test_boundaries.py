@@ -154,12 +154,12 @@ class TestWrongKernel:
 
         monkeypatch.setattr(redei, "redei_pair_fast", off_by_one)
 
-    @pytest.mark.parametrize("strategy", [Strategy.REDEI, Strategy.POWER])
+    @pytest.mark.parametrize("strategy", [Strategy.REDEI, Strategy.POWER, Strategy.CONVERGENT])
     def test_library_raises(self, strategy):
         with pytest.raises(ConsistencyError, match="non-solution"):
             PellSolver(61).nth_solution(5, strategy)
 
-    @pytest.mark.parametrize("strategy", ["redei", "power"])
+    @pytest.mark.parametrize("strategy", ["redei", "power", "cf"])
     def test_cli_exit_code_4(self, capsys, strategy):
         code = main(["solve", "--d", "61", "--n", "5", "--strategy", strategy])
         captured = capsys.readouterr()
@@ -172,8 +172,9 @@ class TestWrongProductTree:
     """A product tree that returns a non-solution is caught when the
     fundamental is built, which is also the one check of n = 1.
 
-    d = 61 has odd period length 11, so the tree's column takes one power
-    step; TestWrongProductTreeEvenPeriod runs the same tests on the even
+    d = 61 has odd period length 11, so the fundamental is two periods,
+    the tree's period unit squared by one kernel call;
+    TestWrongProductTreeEvenPeriod runs the same tests on the even
     branch."""
 
     d = 61
@@ -254,22 +255,6 @@ class TestWitnessWalk:
         code = main(["solve", "--d", "61", "--n", "50", "--strategy", "cf"])
         assert code == 0
         assert capsys.readouterr() == expected
-
-
-@pytest.mark.parametrize("d", ["2", "7", "61"])
-def test_convergent_route_never_calls_the_kernel(monkeypatch, capsys, d):
-    """solve --strategy cf, fundamental included, runs without the Redei
-    kernel: L = 1 at d = 2, even L at d = 7, odd L at d = 61."""
-    assert main(["solve", "--d", d, "--n", "50", "--strategy", "redei"]) == 0
-    expected = capsys.readouterr()
-
-    def no_kernel(*args):
-        raise AssertionError("the cf route called the Redei kernel")
-
-    monkeypatch.setattr(solver, "_quadratic_power", no_kernel)
-    code = main(["solve", "--d", d, "--n", "50", "--strategy", "cf"])
-    assert code == 0
-    assert capsys.readouterr() == expected
 
 
 class TestWrongFold:

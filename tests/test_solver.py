@@ -24,6 +24,7 @@ from pellredei import (
     solutions,
     sqrt_cf,
 )
+from pellredei import solver as solver_module
 from pellredei.solver import _convergent
 
 
@@ -140,6 +141,24 @@ class TestNthSolution:
     def test_module_level_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             nth_solution(61, 1, "cf")
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def no_route(*args):
+            raise AssertionError("a non-integer n reached a solution route")
+
+        monkeypatch.setattr(solver_module, "_convergent", no_route)
+        monkeypatch.setattr(solver_module, "_quadratic_power", no_route)
+
+    @pytest.mark.parametrize("n", [2.0, Fraction(2)])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_non_integer_index_rejected_before_any_work(self, no_work, strategy, n):
+        with pytest.raises(TypeError):
+            PellSolver(7).nth_solution(n, strategy)
+
+    def test_non_integer_index_rejected_by_correspondence_check(self, no_work):
+        with pytest.raises(TypeError):
+            correspondence_check(7, Fraction(2))
 
     def test_strategies_agree(self):
         for d in range(2, 201):
