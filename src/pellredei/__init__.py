@@ -2,11 +2,11 @@
 
 The package keeps every computation in Z, Q, or Q(sqrt(d)) -- there is
 no floating point anywhere.  The period unit comes from half a period
-of the continued fraction of sqrt(d) by a product tree.  Every power of
-a + b*sqrt(d) -- the n-th solution, a solution convergent as a power of
-the period unit, a hyperbola point's power, the witness's Redei value --
-is one call of the Redei kernel, in O(log n) products; the convergent
-walk stays the independent witness.
+of the continued fraction of sqrt(d) by a product tree; the minimal
+solution is that unit or its square.  Every power of a + b*sqrt(d) --
+the n-th solution under every strategy, a hyperbola point's power, the
+witness's Redei value -- is one call of the Redei kernel, in O(log n)
+products; the convergent walk stays the independent witness.
 A small CLI (`pellredei`) exposes both, plus a benchmark contrasting the
 linear fold with the logarithmic route.  The public API is the union of
 the modules' ``__all__`` lists, each name declared where it is defined.

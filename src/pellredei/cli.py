@@ -113,7 +113,7 @@ def _cmd_bench(args: argparse.Namespace) -> Iterator[dict]:
     linear, linear_ns = _median_time_ns(
         lambda: next(itertools.islice(solver.solutions(), n - 1, None)), args.reps
     )
-    # The redei and power strategies run this same kernel call.
+    # Every strategy runs this same kernel call.
     redei, redei_ns = _median_time_ns(lambda: solver.nth_solution(n, Strategy.REDEI), args.reps)
     if linear != redei:
         raise ConsistencyError(

@@ -11,8 +11,8 @@ The convergent stream and nth_convergent share one recurrence, which
 walks the partial quotients one at a time on plain ints; nth_convergent
 builds a Convergent only for the index asked for.  The walk is quadratic
 in the size of its output and is kept as the plain witness and test
-oracle.  The solver's route to a solution convergent, solver._convergent,
-takes it as a power of the period unit by the Redei kernel instead.
+oracle.  The solver reads only the period unit, convergent L - 1, off the
+expansion, by solver._period_unit; every other solution is its power.
 """
 
 from __future__ import annotations

@@ -7,15 +7,14 @@ The solution set is the cyclic group generated by the minimal solution
 (x1, y1) inside the hyperbola group, so the n-th solution is also the
 power (x1 + y1*sqrt(d))**n.
 
-One route reads every solution convergent: a balanced product tree over
-the half period gives convergent L - 1, the period unit, and convergent
-j*L + L - 1 is its power j + 1, one integer Redei call in O(log n)
-products.  The fundamental is that route at solution_index(1), the cf
-strategy the same route at solution_index(n); the redei and power
-strategies share one Redei call for (x1 + y1*sqrt(d))**n.  Neither the
-sequential convergent walk nor the linear fold's steps call the kernel:
-the walk is the independent witness, checked against the paper's Redei
-value, and the fold is what bench times the kernel against.
+One route reaches every solution: a balanced product tree over the half
+period gives convergent L - 1, the period unit, which is the fundamental
+when L is even and squares to it when L is odd; the n-th solution is then
+(x1 + y1*sqrt(d))**n by one integer Redei call in O(log n) products,
+whichever strategy is named.  Neither the sequential convergent walk nor
+the linear fold's steps call the kernel: the walk is the independent
+witness, checked against the paper's Redei value, and the fold is what
+bench times the kernel against.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 """
@@ -48,7 +47,7 @@ __all__ = [
 
 
 class Strategy(Enum):
-    """How to produce the n-th solution."""
+    """The route a request names; every strategy runs the same power."""
 
     CONVERGENT = "cf"
     POWER = "power"
@@ -137,36 +136,33 @@ class PellSolver:
 
     @cached_property
     def fundamental(self) -> PellSolution:
-        """The minimal solution: _convergent at fundamental_index.
+        """The minimal solution: the period unit, squared when L is odd.
 
-        That index is L - 1, or 2L - 1 when L is odd, so the route is the
-        half-period product tree, and for odd L one kernel call that
-        squares the period unit.
+        The unit p + q*sqrt(d) is convergent L - 1, of norm (-1)**L, so
+        for even L it is the minimal solution and for odd L its square,
+        one kernel call, is convergent 2L - 1.
         """
-        x, y = _convergent(self.expansion, self.fundamental_index)
-        return self._checked(1, x, y, "the product tree")
+        p, q = _period_unit(self.expansion)
+        if self.period_length % 2:
+            p, q = _quadratic_power(self.d, p, q, 2)
+        return self._checked(1, p, q, "the product tree")
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
-        """The n-th solution by the chosen strategy (n >= 1).
+        """The n-th solution (n >= 1), (x1 + y1*sqrt(d))**n.
 
         The request is checked before any work: a non-Strategy raises
         ValueError, and solution_index rejects n < 1 with ValueError and a
-        non-integer n with TypeError.  Then every strategy returns the
-        fundamental itself at n = 1.  The convergent route takes
-        convergent solution_index(n) as a power of the period unit, from
-        the same half-period tree as the fundamental.  Redei and power
-        take (x1 + y1*sqrt(d))**n.  Each is one integer Redei call, in
-        O(log n) products.
+        non-integer n with TypeError.  Every strategy returns the
+        fundamental itself at n = 1 and otherwise makes one integer Redei
+        call, in O(log n) products; the strategy only names the route in
+        the error a non-solution raises.
         """
         if not isinstance(strategy, Strategy):
             raise ValueError(f"unknown strategy: {strategy!r}")
-        index = self.solution_index(n)
+        self.solution_index(n)
         if n == 1:
             return self.fundamental
-        if strategy is Strategy.CONVERGENT:
-            x, y = _convergent(self.expansion, index)
-        else:
-            x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
+        x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
         return self._checked(n, x, y, f"{strategy.value} strategy")
 
     def solutions(self) -> Iterator[PellSolution]:
@@ -254,17 +250,14 @@ def _quotient_product(quotients: Sequence[int]) -> tuple[int, int, int, int]:
     return level[0]
 
 
-def _convergent(expansion: SqrtExpansion, k: int) -> tuple[int, int]:
-    """(p, q), convergent k, for a solution index k = j*L + L - 1.
+def _period_unit(expansion: SqrtExpansion) -> tuple[int, int]:
+    """(p, q), convergent L - 1: the period unit p + q*sqrt(d).
 
     With A(a) = [[a, 1], [1, 0]], convergent L - 1 is the first column of
     A(a0) * R for R = A(a1) * ... * A(a_(L-1)) = H * [M] * H^T: H is the
     product tree over the first half, the middle factor M is there only
-    when L is even, and R is symmetric because each A is.  That
-    convergent is the period unit p + q*sqrt(d), and convergent k is its
-    power j + 1 (Lenstra, Notices AMS 49, 2002): one Redei kernel call.
-    At one period, every even-L fundamental, the unit is returned as it
-    is, since the kernel's first power still costs full-size products.
+    when L is even, and R is symmetric because each A is.  Convergent
+    j*L + L - 1 is the unit's power j + 1 (Lenstra, Notices AMS 49, 2002).
     """
     a0, period = expansion.a0, expansion.period
     length = len(period)
@@ -274,10 +267,7 @@ def _convergent(expansion: SqrtExpansion, k: int) -> tuple[int, int]:
     else:
         middle = period[length // 2 - 1]
         x, y = a * (a * middle + 2 * b), c * (a * middle + b) + a * e
-    p, q = a0 * x + y, x
-    if k < length:
-        return p, q
-    return _quadratic_power(expansion.d, p, q, k // length + 1)
+    return a0 * x + y, x
 
 
 def minimal_solution(d: int) -> PellSolution:

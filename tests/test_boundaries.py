@@ -170,7 +170,8 @@ class TestWrongKernel:
 
 class TestWrongProductTree:
     """A product tree that returns a non-solution is caught when the
-    fundamental is built, which is also the one check of n = 1.
+    fundamental is built, which is also the one check of n = 1; every
+    other solution is the fundamental's power, so no strategy gets past it.
 
     d = 61 has odd period length 11, so the fundamental is two periods,
     the tree's period unit squared by one kernel call;
@@ -189,13 +190,16 @@ class TestWrongProductTree:
 
         monkeypatch.setattr(solver, "_quotient_product", off_by_one)
 
-    @pytest.mark.parametrize("strategy", [Strategy.REDEI, Strategy.POWER])
-    def test_library_raises(self, strategy):
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_library_raises(self, strategy, n):
         with pytest.raises(ConsistencyError, match="non-solution"):
-            PellSolver(self.d).nth_solution(1, strategy)
+            PellSolver(self.d).nth_solution(n, strategy)
 
-    def test_cli_exit_code_4(self, capsys):
-        code = main(["solve", "--d", str(self.d)])
+    @pytest.mark.parametrize("n", ["1", "5"])
+    @pytest.mark.parametrize("strategy", ["redei", "power", "cf"])
+    def test_cli_exit_code_4(self, capsys, strategy, n):
+        code = main(["solve", "--d", str(self.d), "--n", n, "--strategy", strategy])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
@@ -208,24 +212,32 @@ class TestWrongProductTreeEvenPeriod(TestWrongProductTree):
     d = 7
 
 
-class TestWrongWalk:
-    """A convergent route that returns a non-solution is caught by the one exact check."""
+class TestUnsquaredOddPeriodUnit:
+    """At odd L the period unit has norm -1; a fundamental that skipped its
+    square would be a solution of x^2 - d*y^2 = -1, and the one exact
+    check catches it for every strategy."""
 
     @pytest.fixture(autouse=True)
-    def broken_route(self, monkeypatch):
-        real = solver._convergent
-        monkeypatch.setattr(
-            solver,
-            "_convergent",
-            lambda expansion, k: real(expansion, k + expansion.period_length),
-        )
+    def no_square(self, monkeypatch):
+        real = solver._quadratic_power
 
-    def test_library_raises(self):
+        # At n = 5 the strategies raise to the fifth power, so the only
+        # square asked for is the fundamental's.
+        def skip_square(d, a, b, n):
+            return (a, b) if n == 2 else real(d, a, b, n)
+
+        monkeypatch.setattr(solver, "_quadratic_power", skip_square)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_library_raises(self, strategy, n):
         with pytest.raises(ConsistencyError, match="non-solution"):
-            PellSolver(61).nth_solution(5, Strategy.CONVERGENT)
+            PellSolver(61).nth_solution(n, strategy)
 
-    def test_cli_exit_code_4(self, capsys):
-        code = main(["solve", "--d", "61", "--n", "5", "--strategy", "cf"])
+    @pytest.mark.parametrize("n", ["1", "5"])
+    @pytest.mark.parametrize("strategy", ["redei", "power", "cf"])
+    def test_cli_exit_code_4(self, capsys, strategy, n):
+        code = main(["solve", "--d", "61", "--n", n, "--strategy", strategy])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""

@@ -25,7 +25,8 @@ from pellredei import (
     sqrt_cf,
 )
 from pellredei import solver as solver_module
-from pellredei.solver import _convergent
+from pellredei.redei import _quadratic_power
+from pellredei.solver import _period_unit
 
 
 class TestPellSolution:
@@ -147,7 +148,7 @@ class TestNthSolution:
         def no_route(*args):
             raise AssertionError("a non-integer n reached a solution route")
 
-        monkeypatch.setattr(solver_module, "_convergent", no_route)
+        monkeypatch.setattr(solver_module, "_period_unit", no_route)
         monkeypatch.setattr(solver_module, "_quadratic_power", no_route)
 
     @pytest.mark.parametrize("n", [2.0, Fraction(2)])
@@ -166,11 +167,10 @@ class TestNthSolution:
                 continue
             solver = PellSolver(d)
             for n in range(1, 9):
-                by_cf = solver.nth_solution(n, Strategy.CONVERGENT)
-                by_pow = solver.nth_solution(n, Strategy.POWER)
-                by_redei = solver.nth_solution(n, Strategy.REDEI)
-                assert by_cf == by_pow == by_redei
-                assert by_cf.n == n
+                conv = nth_convergent(solver.expansion, solver.solution_index(n))
+                for strategy in Strategy:
+                    solution = solver.nth_solution(n, strategy)
+                    assert (solution.x, solution.y, solution.n) == (conv.p, conv.q, n)
 
 
 def test_period_power_matches_convergent_walk():
@@ -181,19 +181,18 @@ def test_period_power_matches_convergent_walk():
         expansion = sqrt_cf(d)
         length = expansion.period_length
         for j in range(9):
-            k = j * length + length - 1
-            conv = nth_convergent(expansion, k)
-            assert _convergent(expansion, k) == (conv.p, conv.q), (d, j)
+            conv = nth_convergent(expansion, j * length + length - 1)
+            assert _quadratic_power(d, *_period_unit(expansion), j + 1) == (conv.p, conv.q), (d, j)
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(d=st.integers(2, 10**5).filter(lambda d: not brute_is_square(d)), j=st.integers(0, 12))
-def test_two_scalar_power_matches_convergent_walk(d, j):
+def test_period_unit_power_is_solution_convergent(d, j):
+    # Lenstra: convergent j*L + L - 1 is the period unit to the power j + 1.
     expansion = sqrt_cf(d)
     length = expansion.period_length
-    k = j * length + length - 1
-    conv = nth_convergent(expansion, k)
-    assert _convergent(expansion, k) == (conv.p, conv.q)
+    conv = nth_convergent(expansion, j * length + length - 1)
+    assert _quadratic_power(d, *_period_unit(expansion), j + 1) == (conv.p, conv.q)
 
 
 @pytest.mark.parametrize(
@@ -207,10 +206,16 @@ def test_two_scalar_power_matches_convergent_walk(d, j):
         (10**10 + 19, (1, 2, 7)),
     ],
 )
-def test_convergent_strategy_matches_redei_kernel(d, ns):
+def test_every_strategy_matches_period_unit_power(d, ns):
+    # At odd L (d = 13, 61) this is the unit to the power 2n by the general
+    # doubling, where the strategies take x1**n by the norm-one doubling.
     solver = PellSolver(d)
+    unit = _period_unit(solver.expansion)
     for n in ns:
-        assert solver.nth_solution(n, Strategy.CONVERGENT) == solver.nth_solution(n, Strategy.REDEI)
+        expected = _quadratic_power(d, *unit, solver.solution_index(n) // solver.period_length + 1)
+        for strategy in Strategy:
+            solution = solver.nth_solution(n, strategy)
+            assert (solution.x, solution.y) == expected
 
 
 @settings(max_examples=40, deadline=None, database=None)
