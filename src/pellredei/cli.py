@@ -9,15 +9,15 @@ object per line, or the command's own text layout.  Exit codes: 0
 success, 2 usage error, 3 the radicand was a perfect square, 4 an
 internal cross-check failed.
 
-Each call builds only the subparser of the command it names first: the
-other four were most of a small call's fixed cost.  Arguments, help and
-error messages read the same as with the whole tree, which is built
-when the first word is not a command.
+The argument parser is built once per process, on the first call to
+main, and reused by every later call: building it was most of a small
+call's fixed cost.  Importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import statistics
@@ -263,36 +263,25 @@ _COMMANDS: dict[str, tuple[str, Callable, Callable, tuple]] = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: the whole tree, or given a command only its subparser.
-
-    The subcommand list is spelled out as the metavar, so the top-level
-    usage line still names every command when only one is built.
-    """
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built from _COMMANDS on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="pellredei",
         description="Exact solutions of x^2 - d*y^2 = 1 and the algebra behind them.",
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flag, options in (*arguments, _FORMAT):
-                p.add_argument(flag, **options)
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in (*arguments, _FORMAT):
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # A call names its command first; argv that does not (help, usage
-    # errors) gets the whole tree.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     _, build, render_text, _ = _COMMANDS[args.command]
     render = _render_json if args.format == "json" else render_text
     try:

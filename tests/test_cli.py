@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import importlib
 import itertools
 import json
 import shlex
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import pellredei
 from pellredei import PellSolver, Strategy
 from pellredei.cli import _build_parser, main
 
@@ -227,6 +230,27 @@ class TestCallsInOneProcess:
         code, out, _ = run(capsys, "solve", "--d", "2", "--n", "2")
         assert code == 0 and out == "x = 17\ny = 12\n"
 
+    def test_parser_is_built_at_most_once(self, capsys, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counted(parser, **kwargs):
+            builds.append(parser)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        # A fresh copy of the module, so its parser cache starts empty;
+        # monkeypatch puts the shared one back afterwards.
+        monkeypatch.setattr(pellredei, "cli", pellredei.cli)
+        monkeypatch.delitem(sys.modules, "pellredei.cli")
+        cli = importlib.import_module("pellredei.cli")
+        assert builds == []
+        assert cli.main(["solve", "--d", "2"]) == 0
+        assert cli.main(["cf", "--d", "2", "--terms", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out == "x = 3\ny = 2\na0 = 1\nperiod = [2]\nL = 1\nconvergent 0: 1/1\n"
+        assert len(builds) == 1
+
     def test_exit_codes_after_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["solve", "--d", "0"])
@@ -256,8 +280,8 @@ class TestCallsInOneProcess:
         *([name, "--help"] for name in ("solve", "cf", "redei", "bench", "verify")),
     ],
 )
-def test_one_subparser_parses_like_the_whole_tree(capsys, argv):
-    def outcome(parser):
+def test_reused_parser_parses_like_a_fresh_one(capsys, argv):
+    def outcome(parser, argv):
         try:
             result = vars(parser.parse_args(argv))
         except SystemExit as exc:
@@ -265,7 +289,11 @@ def test_one_subparser_parses_like_the_whole_tree(capsys, argv):
         captured = capsys.readouterr()
         return result, captured.out, captured.err
 
-    assert outcome(_build_parser(argv[0])) == outcome(_build_parser())
+    reused = _build_parser()
+    parsed, _, _ = outcome(reused, ["solve", "--d", "7", "--n", "2", "--format", "json"])
+    assert parsed["format"] == "json"
+    assert outcome(reused, ["cf", "--d", "0"])[0] == 2
+    assert outcome(reused, argv) == outcome(_build_parser.__wrapped__(), argv)
 
 
 def test_module_entry_point():
@@ -285,6 +313,10 @@ def test_module_entry_point():
         (["solve", "--d", "4"], 3),
         (["solve", "--d", "0"], 2),
         (["verify", "--d-max", "30", "--n-max", "3"], 0),
+        ([], 2),
+        (["--help"], 0),
+        (["bogus"], 2),
+        (["solve", "--d", "2", "extra"], 2),
     ],
 )
 def test_module_exit_codes(argv, code):

@@ -3,9 +3,9 @@
 benchmark/frozen/pellredei is the package as it stood when the benchmark
 was written.  Each side runs cli.main over the same argv list in its own
 child process, so neither import can shadow the other, and prints the
-stdout and the exit code of every call.  bench is left out because it
-prints timings, and every output stays below CPython's 4300-digit
-int-to-str limit.
+stdout, the stderr and the exit code of every call.  bench is left out
+because it prints timings, and every output stays below CPython's
+4300-digit int-to-str limit.
 """
 
 import itertools
@@ -24,13 +24,13 @@ from pellredei import cli
 
 results = [pellredei.__file__]
 for argv in json.load(sys.stdin):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([argv, code, out.getvalue()])
+    results.append([argv, code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
@@ -76,7 +76,8 @@ def test_cli_output_matches_the_frozen_package():
     argvs = _argvs()
     ours = _run(ROOT / "src", argvs)
     frozen = _run(ROOT / "benchmark" / "frozen", argvs)
-    assert {code for _, code, _ in ours} == {0, 2, 3}
-    assert all(out for _, code, out in ours if code == 0)
+    assert {code for _, code, _, _ in ours} == {0, 2, 3}
+    assert all(out for _, code, out, _ in ours if code == 0)
+    assert all(err for _, code, _, err in ours if code != 0)
     for mine, theirs in zip(ours, frozen, strict=True):
         assert mine == theirs
