@@ -7,8 +7,8 @@ The product
 is multiplication in Q(sqrt(d)) restricted to elements of norm one, so
 identity (1, 0), inverse = conjugate (x, -y), and associativity are all
 inherited.  A point's n-th power is (x + y*sqrt(d))**n, one call of the
-Redei kernel over Q, so exponentiation is logarithmic, and the curve is
-checked once, on the result.
+square-and-multiply kernel over Q, so exponentiation is logarithmic, and
+the curve is checked once, on the result.
 
 The parametrization by slope connects this group to the projective-line
 group in projline: from_parameter/to_parameter are mutually inverse

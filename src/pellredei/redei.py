@@ -16,16 +16,16 @@ evaluation.  The index-addition rules
 give a logarithmic-time one by binary doubling.  Both kernels compute in
 the ring of their inputs: integer d and z give integer pairs.
 
-When z**2 - d = 1 every pair has norm num**2 - d*den**2 = 1, so the
-doubled numerator num**2 + d*den**2 is 2*num**2 - 1, the Dickson step
-g_2(1, x) = x**2 - 2 on x = 2*num.  That holds on the hyperbola, for
-every Pell solution and every HyperbolaPoint power, and there a doubling
-costs one square and one product; any other input costs two squares and
-one product.
+When a + b*sqrt(d) has norm one, a**2 - d*b**2 = 1, so does each of its
+powers x + y*sqrt(d), and the doubled x**2 + d*y**2 is 2*x**2 - 1, the
+Dickson step g_2(1, u) = u**2 - 2 on u = 2x.  That holds on the
+hyperbola, for every Pell solution and every HyperbolaPoint power, and
+there a doubling costs one square and one product; any other input costs
+two squares and one product.
 
-Every power of a + b*sqrt(d) in the package is one call of the fast
-kernel: b*sqrt(d) = sqrt(d*b**2), so the pair at z = a over the radicand
-d*b**2, its denominator scaled by b, is that power (_quadratic_power).
+Every power of a + b*sqrt(d) in the package is one call of that
+square-and-multiply loop, _quadratic_power; the fast Redei pair is its
+b = 1 case.
 """
 
 from __future__ import annotations
@@ -85,43 +85,41 @@ def redei_pair_linear(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair
 def redei_pair_fast(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
     """Same pair by square-and-multiply; O(log n) ring operations.
 
-    Scans the bits of n from the most significant end, using
-
-        doubling:   (num, den) -> (num**2 + d*den**2, 2*num*den)
-        step by 1:  (num, den) -> (z*num + d*den, num + z*den)
-
-    so only two values are carried per level, never a full matrix.
-    Integer d and z keep every product in Z, with no gcd reduction.
-
-    The doubling costs one square and one product per level when
-    z**2 - d = 1, since the norm num**2 - d*den**2 then stays 1 and the
-    new numerator is 2*num**2 - 1; otherwise it costs two squares and
-    one product, with d*den**2 taken as d times the square den**2.
+    The power (z + sqrt(d))**n of _quadratic_power at b = 1.
     """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    unit_norm = z * z - d == 1
-    num, den = 1, 0
-    for bit in bin(n)[2:]:
-        if unit_norm:
-            num, den = 2 * (num * num) - 1, 2 * num * den
-        else:
-            num, den = num * num + d * (den * den), 2 * num * den
-        if bit == "1":
-            num, den = z * num + d * den, num + z * den
-    return RedeiPair(d, z, n, num, den)
+    return RedeiPair(d, z, n, *_quadratic_power(d, z, 1, n))
 
 
 def _quadratic_power(
-    d: int, a: int | Fraction, b: int | Fraction, n: int
+    d: int | Fraction, a: int | Fraction, b: int | Fraction, n: int
 ) -> tuple[int | Fraction, int | Fraction]:
-    """(A, B) with A + B*sqrt(d) = (a + b*sqrt(d))**n, for n >= 0.
+    """(x, y) with x + y*sqrt(d) = (a + b*sqrt(d))**n, for n >= 0.
 
-    The pair at z = a over the radicand d*b**2, with its denominator
-    scaled by b: b*sqrt(d) = sqrt(d*b**2), whatever the sign of b.
+    Scans the bits of n from the most significant end, using
+
+        doubling:   (x, y) -> (x**2 + d*y**2, 2*x*y)
+        step by 1:  (x, y) -> (a*x + d*b*y, b*x + a*y)
+
+    so only two values are carried per level, never a full matrix.
+    Integer d, a and b keep every product in Z, with no gcd reduction.
+
+    The doubling costs one square and one product per level when
+    a**2 - d*b**2 = 1, since the norm x**2 - d*y**2 then stays 1 and the
+    new x is 2*x**2 - 1; otherwise it costs two squares and one product,
+    with d*y**2 taken as d times the square y**2.
     """
-    pair = redei_pair_fast(d * b * b, a, n)
-    return pair.num, b * pair.den
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    unit_norm = a * a - d * (b * b) == 1
+    x, y = 1, 0
+    for bit in bin(n)[2:]:
+        if unit_norm:
+            x, y = 2 * (x * x) - 1, 2 * x * y
+        else:
+            x, y = x * x + d * (y * y), 2 * x * y
+        if bit == "1":
+            x, y = a * x + d * b * y, b * x + a * y
+    return x, y
 
 
 def redei_rational(d: int | Fraction, z: int | Fraction, n: int) -> Fraction | Infinity:

@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .contfrac import SqrtExpansion, nth_convergent, sqrt_cf
-from .exact import ConsistencyError, _brief
+from .exact import ConsistencyError, _brief, require_nonsquare
 from .hyperbola import HyperbolaPoint
 from .redei import _quadratic_power
 
@@ -64,6 +64,7 @@ class PellSolution:
     y: int
 
     def __post_init__(self) -> None:
+        require_nonsquare(self.d)
         if self.n < 1:
             raise ValueError("solutions are numbered from 1")
         if self.x < 1 or self.y < 1:

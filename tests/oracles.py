@@ -95,9 +95,9 @@ def pell_by_slope_redei(d: int, x1: int, y1: int, n: int) -> tuple[int, int]:
 
     The paper's route over Q: (z + sqrt(d))**2 is a rational multiple of
     x1 + y1*sqrt(d) at that slope, so the reduced ratio of index 2n is
-    x_n/y_n.  It runs the pair kernel on rationals, at another radicand
-    and index than the solver's integer route, so agreement checks that
-    route's substitution d*y1**2 = x1**2 - 1.
+    x_n/y_n.  It runs the pair kernel on rationals, at another base and
+    index than the solver's integer route, so the two agree only if the
+    kernel's general doubling and its norm-one doubling both hold.
     """
     value = redei_pair_fast(d, Fraction(x1 + 1, y1), 2 * n).ratio
     return value.numerator, value.denominator
@@ -111,10 +111,10 @@ def quad_mul_tuple(
     return (a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2)
 
 
-def field_power_pair(d, z, n: int) -> tuple[Fraction, Fraction]:
-    """Coefficients of (z + sqrt(d))^n by n plain multiplications."""
+def field_power_pair(d, z, n: int, b=1) -> tuple[Fraction, Fraction]:
+    """Coefficients of (z + b*sqrt(d))^n by n plain multiplications."""
     acc = (Fraction(1), Fraction(0))
-    base = (Fraction(z), Fraction(1))
+    base = (Fraction(z), Fraction(b))
     for _ in range(n):
         acc = quad_mul_tuple(d, acc, base)
     return acc

@@ -13,7 +13,6 @@ from pellredei import (
     PellSolution,
     PellSolver,
     PerfectSquareError,
-    RedeiPair,
     Strategy,
     cli,
     contfrac,
@@ -67,6 +66,59 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+def _float_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each way into floating point the package must not take."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name != "isqrt"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            found += [
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name in ("perf_counter", "time")
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "time"
+            and node.attr in ("perf_counter", "time")
+        ):
+            found.append((node.lineno, f"time.{node.attr}"))
+    return found
+
+
+def test_no_floats_in_the_package():
+    # The arithmetic is exact throughout, and timings are integer nanoseconds.
+    for path in sorted(Path(pellredei.__file__).parent.glob("*.py")):
+        found = _float_uses(ast.parse(path.read_text(), filename=str(path)))
+        assert found == [], f"{path.name} reaches floating point at {found}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = 0.5",
+        "x = 2j",
+        "x = float(y)",
+        "x: complex",
+        "import math",
+        "from math import sqrt",
+        "from time import perf_counter",
+        "t = time.perf_counter()",
+        "t = time.time()",
+    ],
+)
+def test_float_check_catches(source):
+    assert _float_uses(ast.parse(source)) != []
 
 
 def test_consistency_error_is_one_class_everywhere():
@@ -146,13 +198,13 @@ class TestWrongKernel:
 
     @pytest.fixture(autouse=True)
     def broken_kernel(self, monkeypatch):
-        real = redei.redei_pair_fast
+        real = solver._quadratic_power
 
-        def off_by_one(d, z, n):
-            pair = real(d, z, n)
-            return RedeiPair(pair.d, pair.z, pair.n, pair.num + 1, pair.den)
+        def off_by_one(d, a, b, n):
+            x, y = real(d, a, b, n)
+            return x + 1, y
 
-        monkeypatch.setattr(redei, "redei_pair_fast", off_by_one)
+        monkeypatch.setattr(solver, "_quadratic_power", off_by_one)
 
     @pytest.mark.parametrize("strategy", [Strategy.REDEI, Strategy.POWER, Strategy.CONVERGENT])
     def test_library_raises(self, strategy):

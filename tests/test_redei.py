@@ -19,6 +19,28 @@ from pellredei import (
     redei_pair_linear,
     redei_rational,
 )
+from pellredei.redei import _quadratic_power
+
+
+# (d, a, b) for the powers of a + b*sqrt(d): integer and Fraction
+# coefficients, b negative or zero, of norm 1 (Pell solutions and rational
+# hyperbola points), -1 (odd-period units) and others.
+QUADRATIC_BASES = [
+    (2, 3, 2),
+    (2, 3, -2),
+    (61, 1766319049, 226153980),
+    (2, Fraction(11, 7), Fraction(6, 7)),
+    (2, Fraction(11, 7), Fraction(-6, 7)),
+    (2, 1, 1),
+    (61, 29718, -3805),
+    (2, Fraction(23, 7), Fraction(17, 7)),
+    (61, 1 + 1766319049, 226153980),
+    (7, -3, 5),
+    (10, Fraction(-3, 5), Fraction(2, 3)),
+    (13, 0, Fraction(1, 2)),
+    (7, 4, 0),
+    (7, Fraction(-3, 5), 0),
+]
 
 
 class TestPairValues:
@@ -60,6 +82,8 @@ class TestPairValues:
             redei_pair_linear(2, 3, -1)
         with pytest.raises(ValueError):
             redei_pair_fast(2, 3, -1)
+        with pytest.raises(ValueError):
+            _quadratic_power(2, 3, 1, -1)
 
     def test_fast_equals_linear(self):
         rng = random.Random(202)
@@ -79,6 +103,18 @@ class TestPairValues:
             n = rng.randint(0, 40)
             pair = redei_pair_fast(d, z, n)
             assert (pair.num, pair.den) == field_power_pair(d, z, n)
+        for d, a, b in QUADRATIC_BASES:
+            for n in range(25):
+                power = _quadratic_power(d, a, b, n)
+                assert power == field_power_pair(d, a, n, b), (d, a, b, n)
+                if type(a) is int and type(b) is int:
+                    assert all(type(part) is int for part in power)
+        assert {a * a - d * (b * b) for d, a, b in QUADRATIC_BASES} >= {1, -1}
+        for _ in range(60):
+            d = random_nonsquare(rng)
+            a, b = random_fraction(rng), random_fraction(rng)
+            n = rng.randint(0, 40)
+            assert _quadratic_power(d, a, b, n) == field_power_pair(d, a, n, b)
 
     def test_determinant_identity(self):
         rng = random.Random(204)
@@ -101,8 +137,8 @@ class TestPairValues:
             assert fast.num**2 - d * fast.den**2 == (z * z - d) ** n
 
 
-# (d, z) with z**2 - d = 1, where the kernel doubles by 2*num**2 - 1: the
-# Pell calls z = x1 over d = x1**2 - 1, and HyperbolaPoint's rational ones.
+# (d, z) with z**2 - d = 1, where the kernel doubles by 2*num**2 - 1:
+# x1 + sqrt(x1**2 - 1) for Pell solutions x1, and rational ones.
 UNIT_NORM_INPUTS = [
     (x1 * x1 - 1, x1) for x1 in (2, 3, 9, 649, 1766319049)
 ] + [
@@ -112,7 +148,8 @@ UNIT_NORM_INPUTS = [
 ]
 
 # (d, z) with z**2 - d in {-1, 0, 2}, which take the general doubling; the
-# last is the verify witness, z = 1 + x1 over d*y1**2, where z**2 - d = 2 + 2*x1.
+# last is the verify witness's base 1 + x1 + y1*sqrt(d) at d = 61, written
+# as z = 1 + x1 over d*y1**2, where z**2 - d = 2 + 2*x1.
 GENERAL_INPUTS = [
     (10, 3),
     (9, 3),

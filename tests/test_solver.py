@@ -41,6 +41,13 @@ class TestPellSolution:
         # The other Pell equation x^2 - d*y^2 = -1 is out of scope.
         with pytest.raises(ValueError):
             PellSolution(5, 1, 2, 1)
+        # The radicand is checked first, as HyperbolaPoint checks its own.
+        with pytest.raises(ValueError, match="d must be positive"):
+            PellSolution(0, 1, 1, 5)
+        with pytest.raises(ValueError, match="d must be positive"):
+            PellSolution(-3, 1, 2, 1)
+        with pytest.raises(PerfectSquareError):
+            PellSolution(4, 1, 3, 1)
 
     def test_point_conversion(self):
         p = PellSolution(2, 1, 3, 2).point()
