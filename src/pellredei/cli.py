@@ -19,12 +19,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
-import statistics
 import sys
 import time
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
 from .contfrac import convergents, sqrt_cf
 from .exact import (
@@ -103,7 +101,7 @@ def _median_time_ns(run: Callable[[], PellSolution], reps: int) -> tuple[PellSol
         start = time.perf_counter_ns()
         out = run()
         samples.append(time.perf_counter_ns() - start)
-    return out, statistics.median_low(samples)
+    return out, sorted(samples)[(reps - 1) // 2]
 
 
 def _cmd_bench(args: argparse.Namespace) -> Iterator[dict]:
@@ -168,6 +166,8 @@ def _formatted(command: str, records: Iterable[dict]) -> Iterator[dict]:
 
 
 def _render_json(records: Iterable[dict]) -> None:
+    import json  # only a JSON render pays for importing it
+
     for record in records:
         print(json.dumps(record, separators=(",", ":")))
 

@@ -18,26 +18,25 @@ expansion, by solver._period_unit; every other solution is its power.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
-from .exact import ConsistencyError, _brief, isqrt, require_nonsquare
+from .exact import ConsistencyError, _brief, _Value, isqrt, require_nonsquare
 
 __all__ = ["Convergent", "SqrtExpansion", "convergents", "nth_convergent", "sqrt_cf"]
 
 
-@dataclass(frozen=True)
-class SqrtExpansion:
+class SqrtExpansion(_Value):
     """First period of the expansion sqrt(d) = [a0; a1, a2, ...].
 
     ``period`` holds one full period (a1, ..., aL); its last entry is
     always 2*a0 and its interior is palindromic.
     """
 
-    d: int
-    a0: int
-    period: tuple[int, ...]
+    __match_args__ = ("d", "a0", "period")
+
+    def __init__(self, d: int, a0: int, period: tuple[int, ...]) -> None:
+        self.__dict__.update(d=d, a0=a0, period=period)
 
     @property
     def period_length(self) -> int:
@@ -90,13 +89,13 @@ def sqrt_cf(d: int) -> SqrtExpansion:
     return SqrtExpansion(d, a0, tuple(period))
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(_Value):
     """The k-th convergent p/q of the expansion (k counts from 0)."""
 
-    k: int
-    p: int
-    q: int
+    __match_args__ = ("k", "p", "q")
+
+    def __init__(self, k: int, p: int, q: int) -> None:
+        self.__dict__.update(k=k, p=p, q=q)
 
     @property
     def value(self) -> Fraction:

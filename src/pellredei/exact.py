@@ -5,11 +5,21 @@ Integers are plain Python ints (arbitrary precision), rationals are
 adds the two values those types cannot express: the point at infinity of
 the projective rational line, and elements a + b*sqrt(d) of the quadratic
 field Q(sqrt(d)).  No floating point is used anywhere.
+
+The package's immutable values -- points, Redei pairs, expansions,
+convergents, solutions and reports -- share one small base, _Value.  A
+subclass names its fields, in order, in __match_args__ and stores them
+in its own __init__, after its checks.  The base makes a value equal
+only to a value of the same class with equal fields, hashes it by its
+fields, prints it as ClassName(field=value, ...), and refuses to assign
+or delete an attribute; instances keep a __dict__, so pickle and copy
+work unchanged.  These are plain classes, not dataclasses: importing
+dataclasses and generating each class's methods at import took most of
+the package's import time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -110,8 +120,38 @@ def require_nonsquare(d: int) -> int:
     return d
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticElement:
+class _Value:
+    """Base of the immutable value classes: equality, hash, repr, no assignment.
+
+    __match_args__ lists the fields in order; it also keeps positional
+    match patterns working.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QuadraticElement(_Value):
     """An element a + b*sqrt(d) of Q(sqrt(d)), d a positive nonsquare.
 
     Immutable; mixed arithmetic with ints and Fractions embeds them as
@@ -119,14 +159,11 @@ class QuadraticElement:
     except that purely rational values compare equal across fields.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __match_args__ = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        require_nonsquare(self.d)
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: int | Fraction, b: int | Fraction, d: int) -> None:
+        require_nonsquare(d)
+        self.__dict__.update(a=Fraction(a), b=Fraction(b), d=d)
 
     def _lift(self, other: object) -> "QuadraticElement | None":
         if isinstance(other, QuadraticElement):

@@ -18,30 +18,25 @@ into LineGroup(d).mul.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, Infinity, QuadraticElement, _brief, require_nonsquare
+from .exact import INF, Infinity, QuadraticElement, _brief, _Value, require_nonsquare
 from .redei import _quadratic_power
 
 __all__ = ["HyperbolaPoint", "from_parameter", "to_parameter"]
 
 
-@dataclass(frozen=True)
-class HyperbolaPoint:
+class HyperbolaPoint(_Value):
     """A rational solution of x**2 - d*y**2 = 1, with the group product."""
 
-    d: int
-    x: Fraction
-    y: Fraction
+    __match_args__ = ("d", "x", "y")
 
-    def __post_init__(self) -> None:
-        require_nonsquare(self.d)
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        if self.x * self.x - self.d * (self.y * self.y) != 1:
-            point = f"({_brief(self.x)}, {_brief(self.y)})"
-            raise ValueError(f"{point} is not on x^2 - {_brief(self.d)}y^2 = 1")
+    def __init__(self, d: int, x: int | Fraction, y: int | Fraction) -> None:
+        require_nonsquare(d)
+        x, y = Fraction(x), Fraction(y)
+        if x * x - d * (y * y) != 1:
+            raise ValueError(f"({_brief(x)}, {_brief(y)}) is not on x^2 - {_brief(d)}y^2 = 1")
+        self.__dict__.update(d=d, x=x, y=y)
 
     @classmethod
     def identity(cls, d: int) -> "HyperbolaPoint":

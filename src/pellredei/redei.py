@@ -30,10 +30,9 @@ b = 1 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import INF, Infinity
+from .exact import INF, Infinity, _Value
 
 __all__ = [
     "RedeiPair",
@@ -44,19 +43,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RedeiPair:
+class RedeiPair(_Value):
     """num + den*sqrt(d) = (z + sqrt(d))**n, with the inputs that made it.
 
     Satisfies num**2 - d*den**2 = (z**2 - d)**n (the determinant of the
     underlying 2x2 power); (num, den) is (1, 0) at n = 0 and (z, 1) at n = 1.
     """
 
-    d: int | Fraction
-    z: int | Fraction
-    n: int
-    num: int | Fraction
-    den: int | Fraction
+    __match_args__ = ("d", "z", "n", "num", "den")
+
+    def __init__(
+        self, d: int | Fraction, z: int | Fraction, n: int, num: int | Fraction, den: int | Fraction
+    ) -> None:
+        self.__dict__.update(d=d, z=z, n=n, num=num, den=den)
 
     @property
     def ratio(self) -> Fraction | Infinity:
@@ -106,14 +105,19 @@ def _quadratic_power(
     The doubling costs one square and one product per level when
     a**2 - d*b**2 = 1, since the norm x**2 - d*y**2 then stays 1 and the
     new x is 2*x**2 - 1; otherwise it costs two squares and one product,
-    with d*y**2 taken as d times the square y**2.
+    with d*y**2 taken as d times the square y**2.  The first doubling
+    after the leading bit is of (a, b) itself, so it takes a*a and b*b
+    from the norm test: at n = 2 the call makes three full-size products.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    unit_norm = a * a - d * (b * b) == 1
+    aa, bb = a * a, b * b
+    unit_norm = aa - d * bb == 1
     x, y = 1, 0
-    for bit in bin(n)[2:]:
-        if unit_norm:
+    for level, bit in enumerate(bin(n)[2:]):
+        if level == 1:
+            x, y = aa + d * bb, 2 * x * y
+        elif unit_norm:
             x, y = 2 * (x * x) - 1, 2 * x * y
         else:
             x, y = x * x + d * (y * y), 2 * x * y

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
 
 from .contfrac import SqrtExpansion, nth_convergent, sqrt_cf
-from .exact import ConsistencyError, _brief, require_nonsquare
+from .exact import ConsistencyError, _brief, _Value, require_nonsquare
 from .hyperbola import HyperbolaPoint
 from .redei import _quadratic_power
 
@@ -54,31 +53,26 @@ class Strategy(Enum):
     REDEI = "redei"
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(_Value):
     """The n-th positive integer solution for radicand d."""
 
-    d: int
-    n: int
-    x: int
-    y: int
+    __match_args__ = ("d", "n", "x", "y")
 
-    def __post_init__(self) -> None:
-        require_nonsquare(self.d)
-        if self.n < 1:
+    def __init__(self, d: int, n: int, x: int, y: int) -> None:
+        require_nonsquare(d)
+        if n < 1:
             raise ValueError("solutions are numbered from 1")
-        if self.x < 1 or self.y < 1:
+        if x < 1 or y < 1:
             raise ValueError("positive solutions only")
-        if self.x * self.x - self.d * (self.y * self.y) != 1:
-            point = f"({_brief(self.x)}, {_brief(self.y)})"
-            raise ValueError(f"{point} does not solve x^2 - {_brief(self.d)}y^2 = 1")
+        if x * x - d * (y * y) != 1:
+            raise ValueError(f"({_brief(x)}, {_brief(y)}) does not solve x^2 - {_brief(d)}y^2 = 1")
+        self.__dict__.update(d=d, n=n, x=x, y=y)
 
     def point(self) -> HyperbolaPoint:
         return HyperbolaPoint(self.d, Fraction(self.x), Fraction(self.y))
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(_Value):
     """Outcome of checking a Redei value against its convergent.
 
     The Redei value is kept as the ratio redei_num/redei_den the kernel
@@ -86,16 +80,20 @@ class CorrespondenceReport:
     by cross-multiplication, so no gcd is taken unless a value is read.
     """
 
-    d: int
-    n: int
-    period_length: int
-    parity: str
-    convergent_index: int
-    redei_num: int
-    redei_den: int
-    convergent_p: int
-    convergent_q: int
-    equal: bool
+    __match_args__ = (
+        "d", "n", "period_length", "parity", "convergent_index",
+        "redei_num", "redei_den", "convergent_p", "convergent_q", "equal",
+    )
+
+    def __init__(
+        self, d: int, n: int, period_length: int, parity: str, convergent_index: int,
+        redei_num: int, redei_den: int, convergent_p: int, convergent_q: int, equal: bool,
+    ) -> None:
+        self.__dict__.update(
+            d=d, n=n, period_length=period_length, parity=parity,
+            convergent_index=convergent_index, redei_num=redei_num, redei_den=redei_den,
+            convergent_p=convergent_p, convergent_q=convergent_q, equal=equal,
+        )
 
     @property
     def redei_value(self) -> Fraction:

@@ -1,6 +1,7 @@
 """Checks at the package's edges: exact checks, error paths and exit codes."""
 
 import ast
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -294,6 +295,29 @@ class TestUnsquaredOddPeriodUnit:
         assert code == 4
         assert captured.out == ""
         assert "non-solution" in captured.err
+
+
+class TestBrokenMirror:
+    """sqrt_cf steps only to the middle of the period and mirrors the rest;
+    a wrong a0 breaks the symmetry, and the one step past the middle
+    catches it.  require_nonsquare uses exact.isqrt, so the patch reaches
+    only the expansion."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_root(self, monkeypatch):
+        monkeypatch.setattr(contfrac, "isqrt", lambda v: math.isqrt(v) + 1)
+
+    @pytest.mark.parametrize("d", [11, 28, 29, 31])
+    def test_library_raises(self, d):
+        with pytest.raises(ConsistencyError, match="not symmetric about its middle"):
+            contfrac.sqrt_cf(d)
+
+    def test_cli_exit_code_4(self, capsys):
+        code = main(["cf", "--d", "11"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("error: period of sqrt(11) is not symmetric")
 
 
 class TestWitnessWalk:

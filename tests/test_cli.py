@@ -1,18 +1,20 @@
 import argparse
-import dataclasses
 import importlib
 import itertools
 import json
+import os
 import shlex
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import pellredei
-from pellredei import PellSolver, Strategy
-from pellredei.cli import _build_parser, main
+from pellredei import CorrespondenceReport, PellSolver, Strategy, cli
+from pellredei.cli import _build_parser, _median_time_ns, main
 
 
 def run(capsys, *argv):
@@ -168,6 +170,13 @@ class TestBench:
         assert code == 4
         assert "disagree" in err
 
+    @pytest.mark.parametrize("reps", [1, 2, 3, 4, 5, 8])
+    def test_median_is_the_low_median(self, monkeypatch, reps):
+        # perf_counter_ns is read twice per sample; the samples come out unsorted.
+        samples = [(7 * k) % 11 + 1 for k in range(reps)]
+        clock = iter(itertools.chain.from_iterable((0, ns) for ns in samples))
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter_ns=lambda: next(clock)))
+        assert _median_time_ns(lambda: "out", reps) == ("out", statistics.median_low(samples))
 
     def test_help_names_the_two_routes(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -213,7 +222,9 @@ class TestVerify:
 
         def wrong_at_7(self, n):
             report = real(self, n)
-            return dataclasses.replace(report, equal=False) if self.d == 7 else report
+            if self.d != 7:
+                return report
+            return CorrespondenceReport(**{**vars(report), "equal": False})
 
         monkeypatch.setattr(PellSolver, "correspondence_check", wrong_at_7)
         code, out, err = run(capsys, "verify", "--d-max", "20", "--n-max", "2", "--format", fmt)
@@ -322,6 +333,31 @@ def test_module_entry_point():
 def test_module_exit_codes(argv, code):
     proc = subprocess.run([sys.executable, "-m", "pellredei", *argv], capture_output=True)
     assert proc.returncode == code
+
+
+def test_cold_import_loads_no_heavy_module():
+    """Importing the package and its CLI loads none of the heavy modules below;
+    a JSON render still works, importing json when it runs."""
+    code = (
+        "import sys\n"
+        "import pellredei, pellredei.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'json', 'statistics', 'typing')\n"
+        "print([name for name in heavy if name in sys.modules])\n"
+        "pellredei.cli.main(['solve', '--d', '61', '--format', 'json'])\n"
+    )
+    src = str(Path(pellredei.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        '{"command":"solve","d":"61","params":{"n":"1","strategy":"redei"},'
+        '"result":{"x":"1766319049","y":"226153980"}}',
+    ]
 
 
 def _readme_examples() -> list[tuple[str, list[str]]]:

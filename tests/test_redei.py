@@ -20,6 +20,7 @@ from pellredei import (
     redei_rational,
 )
 from pellredei.redei import _quadratic_power
+from pellredei.solver import _period_unit
 
 
 # (d, a, b) for the powers of a + b*sqrt(d): integer and Fraction
@@ -185,6 +186,42 @@ class TestUnitNormDoubling:
             if solution.n in indices:
                 pair = redei_pair_fast(x1 * x1 - 1, x1, solution.n)
                 assert (pair.num, y1 * pair.den) == (solution.x, solution.y)
+
+
+def test_square_reuses_the_norm_test_squares():
+    """The odd-L fundamental is the period unit's square: a*a and b*b of the
+    norm test serve its one doubling, so it takes three full-size products."""
+    products = []
+
+    class Big(int):
+        """An int that stays one under + and - and logs its products of two operands
+        over 32 bits."""
+
+        def __mul__(self, other):
+            if min(self.bit_length(), int(other).bit_length()) > 32:
+                products.append(1)
+            return Big(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Big(int(self) + int(other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Big(int(self) - int(other))
+
+        def __rsub__(self, other):
+            return Big(int(other) - int(self))
+
+    for d in (421, 10000141):  # L = 37 and 4769
+        solver = PellSolver(d)
+        p, q = _period_unit(solver.expansion)
+        assert p * p - d * (q * q) == -1
+        products.clear()
+        assert _quadratic_power(d, Big(p), Big(q), 2) == (solver.fundamental.x, solver.fundamental.y)
+        assert len(products) == 3
 
 
 class TestRationalFunction:
