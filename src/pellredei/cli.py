@@ -160,11 +160,6 @@ def _text(value: object) -> object:
     return "INF" if value is INF else str(value)
 
 
-def _formatted(command: str, records: Iterable[dict]) -> Iterator[dict]:
-    for record in records:
-        yield _text({"command": command, **record})
-
-
 def _render_json(records: Iterable[dict]) -> None:
     import json  # only a JSON render pays for importing it
 
@@ -279,13 +274,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     args = _build_parser().parse_args(argv)
     _, build, render_text, _ = _COMMANDS[args.command]
     render = _render_json if args.format == "json" else render_text
     try:
-        render(_formatted(args.command, build(args)))
+        render(_text({"command": args.command, **record}) for record in build(args))
     except PerfectSquareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -111,13 +111,11 @@ class LineGroup:
         return Fraction(x) * Fraction(rn, rd)
 
     def _as_field(self, x) -> QuadraticElement:
-        if isinstance(x, QuadraticElement):
-            if x.d != self.d:
-                raise ValueError(f"element of Q(sqrt({x.d})) in a sqrt({self.d}) group")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadraticElement(Fraction(x), Fraction(0), self.d)
-        raise TypeError(f"cannot interpret {x!r} in Q(sqrt({self.d}))")
+        """x in Q(sqrt(d)) by QuadraticElement's own lift, which rejects a foreign radicand."""
+        lifted = QuadraticElement(0, 0, self.d)._lift(x)
+        if lifted is None:
+            raise TypeError(f"cannot interpret {x!r} in Q(sqrt({self.d}))")
+        return lifted
 
     def __repr__(self) -> str:
         return f"LineGroup(d={self.d})"

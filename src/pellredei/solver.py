@@ -10,11 +10,12 @@ power (x1 + y1*sqrt(d))**n.
 One route reaches every solution: a balanced product tree over the half
 period gives convergent L - 1, the period unit, which is the fundamental
 when L is even and squares to it when L is odd; the n-th solution is then
-(x1 + y1*sqrt(d))**n by one integer Redei call in O(log n) products,
-whichever strategy is named.  Neither the sequential convergent walk nor
-the linear fold's steps call the kernel: the walk is the independent
-witness, checked against the paper's Redei value, and the fold is what
-bench times the kernel against.
+(x1 + y1*sqrt(d))**n by one integer Redei call in O(log n) products.
+The strategy a request names is a validated label that selects no
+route: every strategy makes the same calls and raises the same errors.
+Neither the sequential convergent walk nor the linear fold's steps call
+the kernel: the walk is the independent witness, checked against the
+paper's Redei value, and the fold is what bench times the kernel against.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 """
@@ -46,7 +47,8 @@ __all__ = [
 
 
 class Strategy(Enum):
-    """The route a request names; every strategy runs the same power."""
+    """A validated label on a request; it names no route, as every
+    strategy runs the same power."""
 
     CONVERGENT = "cf"
     POWER = "power"
@@ -153,8 +155,8 @@ class PellSolver:
         ValueError, and solution_index rejects n < 1 with ValueError and a
         non-integer n with TypeError.  Every strategy returns the
         fundamental itself at n = 1 and otherwise makes one integer Redei
-        call, in O(log n) products; the strategy only names the route in
-        the error a non-solution raises.
+        call, in O(log n) products.  The strategy is a validated label: it
+        names no route, so every strategy gives the same result or error.
         """
         if not isinstance(strategy, Strategy):
             raise ValueError(f"unknown strategy: {strategy!r}")
@@ -162,7 +164,7 @@ class PellSolver:
         if n == 1:
             return self.fundamental
         x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
-        return self._checked(n, x, y, f"{strategy.value} strategy")
+        return self._checked(n, x, y, "the Redei kernel")
 
     def solutions(self) -> Iterator[PellSolution]:
         """All solutions in increasing order, by repeated composition.

@@ -3,7 +3,6 @@ import importlib
 import itertools
 import json
 import os
-import shlex
 import statistics
 import subprocess
 import sys
@@ -358,41 +357,3 @@ def test_cold_import_loads_no_heavy_module():
         '{"command":"solve","d":"61","params":{"n":"1","strategy":"redei"},'
         '"result":{"x":"1766319049","y":"226153980"}}',
     ]
-
-
-def _readme_examples() -> list[tuple[str, list[str]]]:
-    """Each `$ pellredei ...` example in README.md with the output lines shown under it."""
-    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
-
-    def shown(line: str) -> bool:
-        return line.strip() != "" and not line.startswith("```")
-
-    return [
-        (line.removeprefix("$ pellredei "), list(itertools.takewhile(shown, lines[i + 1 :])))
-        for i, line in enumerate(lines)
-        if line.startswith("$ pellredei ")
-    ]
-
-
-def test_readme_shows_every_command():
-    commands = [example.split()[0] for example, _ in _readme_examples()]
-    assert sorted(set(commands)) == ["bench", "cf", "redei", "solve", "verify"]
-
-
-@pytest.mark.parametrize(
-    "example, expected",
-    [
-        pytest.param(example, expected, id=example)
-        for example, expected in _readme_examples()
-        if not example.startswith("bench ")
-    ],
-)
-def test_readme_example(capsys, example, expected):
-    command, _, pipe = example.partition(" | ")
-    code, out, _ = run(capsys, *shlex.split(command))
-    assert code == 0
-    lines = out.splitlines()
-    if pipe:
-        assert pipe == "tail -1"
-        lines = lines[-1:]
-    assert lines == expected

@@ -126,8 +126,10 @@ class TestFieldTransport:
 
     def test_wrong_field_rejected(self):
         g = LineGroup(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mixed radicands"):
             g.to_multiplicative(QuadraticElement(1, 1, 3))
+        with pytest.raises(ValueError, match="mixed radicands"):
+            g.from_multiplicative(QuadraticElement(1, 1, 3))
 
     def test_non_field_value_rejected(self):
         with pytest.raises(TypeError, match="cannot interpret"):

@@ -12,6 +12,7 @@ from oracles import (
     pell_by_y_scan,
 )
 from pellredei import (
+    ConsistencyError,
     PellSolution,
     PellSolver,
     PerfectSquareError,
@@ -101,11 +102,6 @@ class TestMinimalSolution:
         assert (fundamental.x, fundamental.y) == (conv.p, conv.q)
         assert fundamental.x**2 - solver.d * fundamental.y**2 == 1
 
-    def test_kernel_strategies_return_the_checked_fundamental(self):
-        solver = PellSolver(61)
-        for strategy in (Strategy.REDEI, Strategy.POWER):
-            assert solver.nth_solution(1, strategy) is solver.fundamental
-
     @pytest.mark.parametrize("d", [2, 7, 61])
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_every_strategy_returns_the_fundamental_at_n_1(self, d, strategy):
@@ -180,6 +176,34 @@ class TestNthSolution:
                     assert (solution.x, solution.y, solution.n) == (conv.p, conv.q, n)
 
 
+@pytest.mark.parametrize("d, n", [(2, 1), (7, 5), (61, 1), (61, 5), (13, 40)])
+def test_strategy_is_a_label(monkeypatch, d, n):
+    # Every strategy makes the same kernel calls, returns the same solution
+    # and, when the kernel is wrong, raises the same error.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _quadratic_power(*args)
+
+    def off_by_one(*args):
+        x, y = _quadratic_power(*args)
+        return x + 1, y
+
+    runs, messages = set(), set()
+    for strategy in Strategy:
+        calls.clear()
+        monkeypatch.setattr(solver_module, "_quadratic_power", spy)
+        solution = PellSolver(d).nth_solution(n, strategy)
+        runs.add((tuple(calls), solution))
+        monkeypatch.setattr(solver_module, "_quadratic_power", off_by_one)
+        with pytest.raises(ConsistencyError, match="non-solution") as caught:
+            PellSolver(d).nth_solution(n, strategy)
+        messages.add(str(caught.value))
+    assert len(runs) == 1 and runs.pop()[0]
+    assert len(messages) == 1, messages
+
+
 def test_period_power_matches_convergent_walk():
     # Convergent j*L + L - 1 for j = 0..8, with L = 1 and odd and even L.
     for d in range(2, 301):
@@ -233,12 +257,8 @@ def test_every_strategy_matches_period_unit_power(d, ns):
 def test_integer_kernel_matches_slope_oracle(d, n):
     solver = PellSolver(d)
     expected = pell_by_slope_redei(d, solver.fundamental.x, solver.fundamental.y, n)
-    for strategy in (Strategy.REDEI, Strategy.POWER):
+    for strategy in Strategy:
         solution = solver.nth_solution(n, strategy)
-        assert (solution.x, solution.y) == expected
-    # The convergent walk is linear in n*L, so it only joins for small n.
-    if n <= 8:
-        solution = solver.nth_solution(n, Strategy.CONVERGENT)
         assert (solution.x, solution.y) == expected
 
 
