@@ -6,6 +6,13 @@ adds the two values those types cannot express: the point at infinity of
 the projective rational line, and elements a + b*sqrt(d) of the quadratic
 field Q(sqrt(d)).  No floating point is used anywhere.
 
+An int and a Fraction are the only exact numbers.  Every public entry
+point that takes a number passes it through _exact, which returns it
+unchanged or raises TypeError, so a float, a str or a Decimal is refused
+before any arithmetic and never converted.  QuadraticElement's operators
+ask the same question of their other operand, but answer NotImplemented,
+as Python's operator protocol expects, instead of raising.
+
 The package's immutable values -- points, Redei pairs, expansions,
 convergents, solutions and reports -- share one small base, _Value.  A
 subclass names its fields, in order, in __match_args__ and stores them
@@ -111,6 +118,13 @@ def _brief(value: object) -> str:
     return str(value)
 
 
+def _exact(value: object) -> int | Fraction:
+    """value itself if it is an int or a Fraction; TypeError for anything else."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"not an exact number (int or Fraction): {value!r}")
+
+
 def require_nonsquare(d: int) -> int:
     """Validate a radicand: d must be a positive nonsquare integer."""
     if d <= 0:
@@ -163,7 +177,7 @@ class QuadraticElement(_Value):
 
     def __init__(self, a: int | Fraction, b: int | Fraction, d: int) -> None:
         require_nonsquare(d)
-        self.__dict__.update(a=Fraction(a), b=Fraction(b), d=d)
+        self.__dict__.update(a=Fraction(_exact(a)), b=Fraction(_exact(b)), d=d)
 
     def _lift(self, other: object) -> "QuadraticElement | None":
         if isinstance(other, QuadraticElement):
@@ -171,7 +185,7 @@ class QuadraticElement(_Value):
                 raise ValueError(f"mixed radicands: sqrt({self.d}) vs sqrt({other.d})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadraticElement(Fraction(other), Fraction(0), self.d)
+            return QuadraticElement(other, 0, self.d)
         return None
 
     def __add__(self, other: "int | Fraction | QuadraticElement") -> "QuadraticElement":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import INF, Infinity, QuadraticElement, _brief, _Value, require_nonsquare
+from .exact import INF, Infinity, QuadraticElement, _brief, _exact, _Value, require_nonsquare
 from .redei import _quadratic_power
 
 __all__ = ["HyperbolaPoint", "from_parameter", "to_parameter"]
@@ -33,7 +33,7 @@ class HyperbolaPoint(_Value):
 
     def __init__(self, d: int, x: int | Fraction, y: int | Fraction) -> None:
         require_nonsquare(d)
-        x, y = Fraction(x), Fraction(y)
+        x, y = Fraction(_exact(x)), Fraction(_exact(y))
         if x * x - d * (y * y) != 1:
             raise ValueError(f"({_brief(x)}, {_brief(y)}) is not on x^2 - {_brief(d)}y^2 = 1")
         self.__dict__.update(d=d, x=x, y=y)
@@ -79,7 +79,7 @@ def from_parameter(d: int, m) -> HyperbolaPoint:
     require_nonsquare(d)
     if m is INF:
         return HyperbolaPoint.identity(d)
-    m = Fraction(m)
+    m = Fraction(_exact(m))
     w = m * m - d
     return HyperbolaPoint(d, (m * m + d) / w, 2 * m / w)
 

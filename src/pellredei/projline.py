@@ -16,18 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import INF, Infinity, QuadraticElement, isqrt, require_nonsquare
+from .exact import INF, Infinity, QuadraticElement, _exact, isqrt, require_nonsquare
 from .redei import redei_rational
 
 __all__ = ["LineGroup"]
-
-
-def _lift(value: object) -> Fraction | QuadraticElement | Infinity:
-    if value is INF or isinstance(value, (Fraction, QuadraticElement)):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"not a point of the projective line: {value!r}")
 
 
 class LineGroup:
@@ -35,6 +27,7 @@ class LineGroup:
 
     def __init__(self, d: int) -> None:
         self.d = require_nonsquare(d)
+        self._root = QuadraticElement(0, 1, d)
 
     @property
     def identity(self) -> Infinity:
@@ -46,8 +39,7 @@ class LineGroup:
         Also accepts elements of Q(sqrt(d)), over which the same formula
         realizes the multiplicative group the transform maps onto.
         """
-        x = _lift(x)
-        y = _lift(y)
+        x, y = self._lift(x), self._lift(y)
         if x is INF:
             return y
         if y is INF:
@@ -59,13 +51,15 @@ class LineGroup:
 
     def inverse(self, x):
         """Group inverse; the negation of x, with INF fixed."""
-        return -_lift(x)
+        return -self._lift(x)
 
     def pow(self, z, n: int):
         """n-th group power of a rational z (n may be negative).
 
         The power equals the Redei rational value of index n at (d, z);
-        evaluation is logarithmic in |n|.
+        evaluation is logarithmic in |n|.  z is INF, an int or a Fraction
+        and n an integer; anything else raises TypeError before any
+        arithmetic.
         """
         if z is INF:
             return INF
@@ -75,25 +69,23 @@ class LineGroup:
         """Transport from (Q(sqrt(d))*, *): x -> (x + 1)/(x - 1)*sqrt(d).
 
         Maps 1 -> INF, INF -> sqrt(d), 0 -> -sqrt(d), and products to
-        mul().  Rational inputs are embedded into Q(sqrt(d)) first.
+        mul().
         """
-        root = QuadraticElement(0, 1, self.d)
+        x = self._lift(x)
         if x is INF:
-            return root
-        x = self._as_field(x)
+            return self._root
         if x == 1:
             return INF
-        return (x + 1) / (x - 1) * root
+        return (x + 1) / (x - 1) * self._root
 
     def to_multiplicative(self, x):
         """Inverse transport: x -> (x + sqrt(d))/(x - sqrt(d)), sqrt(d) -> INF."""
+        x = self._lift(x)
         if x is INF:
             return QuadraticElement(1, 0, self.d)
-        x = self._as_field(x)
-        root = QuadraticElement(0, 1, self.d)
-        if x == root:
+        if x == self._root:
             return INF
-        return (x + root) / (x - root)
+        return (x + self._root) / (x - self._root)
 
     def rescale_from(self, e: int, x):
         """Isomorphism from the radicand-e group: x -> x*sqrt(d/e).
@@ -108,14 +100,19 @@ class LineGroup:
             raise ValueError(f"{self.d}/{e} is not the square of a rational")
         if x is INF:
             return INF
-        return Fraction(x) * Fraction(rn, rd)
+        return _exact(x) * Fraction(rn, rd)
 
-    def _as_field(self, x) -> QuadraticElement:
-        """x in Q(sqrt(d)) by QuadraticElement's own lift, which rejects a foreign radicand."""
-        lifted = QuadraticElement(0, 0, self.d)._lift(x)
-        if lifted is None:
-            raise TypeError(f"cannot interpret {x!r} in Q(sqrt({self.d}))")
-        return lifted
+    def _lift(self, x) -> Fraction | QuadraticElement | Infinity:
+        """x as a point: INF itself, an element of Q(sqrt(d)), or an exact rational.
+
+        QuadraticElement's own lift rejects an element over another
+        radicand; _exact rejects anything that is not an int or a Fraction.
+        """
+        if x is INF:
+            return INF
+        if isinstance(x, QuadraticElement):
+            return self._root._lift(x)
+        return Fraction(_exact(x))
 
     def __repr__(self) -> str:
         return f"LineGroup(d={self.d})"

@@ -26,13 +26,20 @@ two squares and one product.
 Every power of a + b*sqrt(d) in the package is one call of that
 square-and-multiply loop, _quadratic_power; the fast Redei pair is its
 b = 1 case.
+
+The public functions take d, z (or Dickson's a and x) as an int or a
+Fraction, through exact._exact, and the index n as an integer, through
+operator.index: a float, a str or a Decimal raises TypeError before any
+arithmetic.  _quadratic_power itself checks nothing, so it runs on any
+ring with +, - and *.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
-from .exact import INF, Infinity, _Value
+from .exact import INF, Infinity, _exact, _Value
 
 __all__ = [
     "RedeiPair",
@@ -67,7 +74,8 @@ class RedeiPair(_Value):
 
 def redei_pair_linear(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
     """(num_n, den_n) by stepping the recurrence; O(n) ring operations."""
-    if n < 0:
+    d, z = _exact(d), _exact(z)
+    if index(n) < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if n == 0:
         return RedeiPair(d, z, 0, 1, 0)
@@ -86,7 +94,7 @@ def redei_pair_fast(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
 
     The power (z + sqrt(d))**n of _quadratic_power at b = 1.
     """
-    return RedeiPair(d, z, n, *_quadratic_power(d, z, 1, n))
+    return RedeiPair(d, z, n, *_quadratic_power(_exact(d), _exact(z), 1, index(n)))
 
 
 def _quadratic_power(
@@ -132,7 +140,7 @@ def redei_rational(d: int | Fraction, z: int | Fraction, n: int) -> Fraction | I
     Defined for every integer index; the value at -n is the negation of
     the value at n, negation being inversion for the parameter-line group.
     """
-    if n < 0:
+    if index(n) < 0:
         return -redei_rational(d, z, -n)
     return redei_pair_fast(d, z, n).ratio
 
@@ -143,10 +151,9 @@ def dickson(a: int | Fraction, x: int | Fraction, n: int) -> Fraction:
     g_0 = 2, g_1 = x, g_n = x*g_{n-1} - a*g_{n-2}.  Twice the Redei
     numerator in disguise: 2*num_n(d, z) = g_n(z**2 - d, 2z).
     """
-    if n < 0:
+    if index(n) < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    a = Fraction(a)
-    x = Fraction(x)
+    a, x = Fraction(_exact(a)), Fraction(_exact(x))
     if n == 0:
         return Fraction(2)
     g_prev, g = Fraction(2), x

@@ -62,16 +62,16 @@ class PellSolution(_Value):
 
     def __init__(self, d: int, n: int, x: int, y: int) -> None:
         require_nonsquare(d)
-        if n < 1:
+        if operator.index(n) < 1:
             raise ValueError("solutions are numbered from 1")
-        if x < 1 or y < 1:
+        if operator.index(x) < 1 or operator.index(y) < 1:
             raise ValueError("positive solutions only")
         if x * x - d * (y * y) != 1:
             raise ValueError(f"({_brief(x)}, {_brief(y)}) does not solve x^2 - {_brief(d)}y^2 = 1")
         self.__dict__.update(d=d, n=n, x=x, y=y)
 
     def point(self) -> HyperbolaPoint:
-        return HyperbolaPoint(self.d, Fraction(self.x), Fraction(self.y))
+        return HyperbolaPoint(self.d, self.x, self.y)
 
 
 class CorrespondenceReport(_Value):

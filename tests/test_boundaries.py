@@ -2,6 +2,8 @@
 
 import ast
 import math
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,16 +13,23 @@ import pellredei
 from pellredei import (
     ConsistencyError,
     HyperbolaPoint,
+    LineGroup,
     PellSolution,
     PellSolver,
     PerfectSquareError,
+    QuadraticElement,
     Strategy,
     cli,
     contfrac,
+    dickson,
     exact,
+    from_parameter,
     hyperbola,
     projline,
     redei,
+    redei_pair_fast,
+    redei_pair_linear,
+    redei_rational,
     solver,
 )
 from pellredei.cli import main
@@ -61,12 +70,45 @@ PUBLIC_NAMES = [
 ]
 
 
+def _optimize_flag_uses(tree: ast.AST) -> list[int]:
+    """Lines where behaviour could depend on python -O: assert, __debug__, sys.flags."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "__debug__")
+        or (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) == ("sys", "flags")
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "sys"
+            and any(alias.name == "flags" for alias in node.names)
+        )
+    ]
+
+
 def test_no_assert_statements_in_the_package():
-    # python -O strips assert statements, so no runtime check may be one.
+    # python -O strips assert statements and flips __debug__ and sys.flags, so no
+    # runtime check may use them: then -O cannot change how the package behaves.
     for path in sorted(Path(pellredei.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert lines == [], f"{path.name} has assert statements at lines {lines}"
+        lines = _optimize_flag_uses(ast.parse(path.read_text(), filename=str(path)))
+        assert lines == [], f"{path.name} depends on python -O at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "assert x",
+        "if __debug__: check()",
+        "level = sys.flags.optimize",
+        "from sys import argv, flags",
+    ],
+)
+def test_optimize_flag_check_catches(source):
+    assert _optimize_flag_uses(ast.parse(source)) != []
 
 
 def _float_uses(tree: ast.AST) -> list[tuple[int, str]]:
@@ -141,6 +183,59 @@ class TestPublicNames:
                 owners[name] = module
         for name in pellredei.__all__:
             assert getattr(pellredei, name) is getattr(owners[name], name), name
+
+
+# Every public entry point that takes a number, with arguments it accepts.
+EXACT_ENTRY_POINTS = {
+    "QuadraticElement": (QuadraticElement, (1, Fraction(1, 2), 2)),
+    "HyperbolaPoint": (HyperbolaPoint, (2, 3, 2)),
+    "from_parameter": (from_parameter, (2, Fraction(1, 3))),
+    "LineGroup": (LineGroup, (2,)),
+    "LineGroup.mul": (LineGroup(2).mul, (1, Fraction(2, 3))),
+    "LineGroup.inverse": (LineGroup(2).inverse, (Fraction(2, 3),)),
+    "LineGroup.from_multiplicative": (LineGroup(2).from_multiplicative, (3,)),
+    "LineGroup.to_multiplicative": (LineGroup(2).to_multiplicative, (3,)),
+    "LineGroup.pow": (LineGroup(2).pow, (Fraction(2), 3)),
+    "LineGroup.rescale_from": (LineGroup(8).rescale_from, (2, Fraction(3))),
+    "redei_pair_fast": (redei_pair_fast, (2, Fraction(3, 2), 3)),
+    "redei_pair_linear": (redei_pair_linear, (2, Fraction(3, 2), 3)),
+    "redei_rational": (redei_rational, (2, Fraction(3, 2), 3)),
+    "dickson": (dickson, (-1, Fraction(2), 3)),
+    "PellSolution": (PellSolution, (2, 1, 3, 2)),
+}
+
+
+class TestExactInputs:
+    """An int or a Fraction is an exact number; anything else is refused with
+    TypeError before any arithmetic, in every numeric slot of every entry point."""
+
+    @pytest.mark.parametrize("inexact", [1.5, "3/2", Decimal("1.5")], ids=["float", "str", "Decimal"])
+    @pytest.mark.parametrize(
+        "name, slot",
+        [(name, slot) for name, (_, args) in EXACT_ENTRY_POINTS.items() for slot in range(len(args))],
+    )
+    def test_refused_before_the_kernel(self, monkeypatch, name, slot, inexact):
+        entry, args = EXACT_ENTRY_POINTS[name]
+        entry(*args)  # accepted as given, so the TypeError below is the replaced slot's
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran on an inexact input")
+
+        monkeypatch.setattr(redei, "_quadratic_power", no_kernel)
+        with pytest.raises(TypeError):
+            entry(*args[:slot], inexact, *args[slot + 1 :])
+
+    def test_pell_solution_fields_are_integers(self):
+        with pytest.raises(TypeError):
+            PellSolution(2, 1, Fraction(3), 2)
+        with pytest.raises(TypeError):
+            PellSolution(2, Fraction(1), 3, 2)
+
+    def test_exact_inputs_stay_unconverted(self):
+        for value in (3, Fraction(3), Fraction(3, 2)):
+            assert exact._exact(value) is value
+        assert type(redei_pair_fast(2, 3, 4).num) is int
+        assert LineGroup(8).rescale_from(2, 3) == 6
 
 
 class TestHugeValuesInMessages:

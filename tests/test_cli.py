@@ -122,6 +122,15 @@ class TestRedei:
         assert record["params"]["z"] == "3/2"
         assert record["result"] == {"N": "3/2", "D": "1", "Q": "3/2"}
 
+    def test_decimal_parameter_is_read_exactly(self, capsys):
+        # Decimal text is parsed by Fraction, so it never meets the library's float rule.
+        code, out, err = run(capsys, "redei", "--d", "2", "--z", "1.5", "--n", "1")
+        assert (code, out, err) == (0, "N = 3/2\nD = 1\nQ = 3/2\n", "")
+        code, out, _ = run(capsys, "redei", "--d", "2", "--z", "1.5", "--n", "1", "--format", "json")
+        assert code == 0
+        assert '"z":"3/2"' in out
+        assert json.loads(out)["result"] == {"N": "3/2", "D": "1", "Q": "3/2"}
+
     def test_bad_parameter_is_usage_error(self):
         for z in ("3/0", "abc", "1.5.2"):
             with pytest.raises(SystemExit) as excinfo:

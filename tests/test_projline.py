@@ -28,7 +28,7 @@ class TestProduct:
             LineGroup(9)
 
     def test_non_point_rejected(self):
-        with pytest.raises(TypeError, match="not a point of the projective line"):
+        with pytest.raises(TypeError, match="not an exact number"):
             LineGroup(2).mul("x", 1)
 
     def test_repr(self):
@@ -131,8 +131,17 @@ class TestFieldTransport:
         with pytest.raises(ValueError, match="mixed radicands"):
             g.from_multiplicative(QuadraticElement(1, 1, 3))
 
+    def test_foreign_radicand_rejected_by_the_product(self):
+        g = LineGroup(2)
+        with pytest.raises(ValueError, match="mixed radicands"):
+            g.mul(QuadraticElement(1, 1, 3), QuadraticElement(2, 1, 3))
+        with pytest.raises(ValueError, match="mixed radicands"):
+            g.mul(Fraction(1), QuadraticElement(2, 1, 3))
+        with pytest.raises(ValueError, match="mixed radicands"):
+            g.inverse(QuadraticElement(1, 1, 3))
+
     def test_non_field_value_rejected(self):
-        with pytest.raises(TypeError, match="cannot interpret"):
+        with pytest.raises(TypeError, match="not an exact number"):
             LineGroup(2).from_multiplicative("x")
 
 
