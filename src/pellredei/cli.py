@@ -132,11 +132,10 @@ def _cmd_verify(args: argparse.Namespace) -> Iterator[dict]:
         if is_perfect_square(d):
             continue
         solver = PellSolver(d)
-        for n in range(1, args.n_max + 1):
-            report = solver.correspondence_check(n)
+        for report in itertools.islice(solver._reports(), args.n_max):
             if not report.equal:
                 raise ConsistencyError(
-                    f"Redei value != convergent at d={d}, n={n}: "
+                    f"Redei value != convergent at d={d}, n={report.n}: "
                     f"{_brief(report.redei_value)} vs {_brief(report.convergent_value)}"
                 )
         yield {

@@ -7,12 +7,13 @@ is exact and no irrational value is ever touched.  The recurrence runs
 only to the middle of the period, where the states turn symmetric, and
 the rest of the period is its mirror image.
 
-The convergent stream and nth_convergent share one recurrence, which
-walks the partial quotients one at a time on plain ints; nth_convergent
-builds a Convergent only for the index asked for.  The walk is quadratic
-in the size of its output and is kept as the plain witness and test
-oracle.  The solver reads only the period unit, convergent L - 1, off the
-expansion, by solver._period_unit; every other solution is its power.
+The convergent stream, nth_convergent and the solver's witness share one
+recurrence, _pairs, which walks the partial quotients one at a time on
+plain ints; nth_convergent builds a Convergent only for the index asked
+for, and the witness builds none.  The walk is quadratic in the size of
+its output and is kept as the plain witness and test oracle.  The solver
+reads only the period unit, convergent L - 1, off the expansion, by
+solver._period_unit; every other solution is its power.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ the package's import time.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt
 
@@ -126,8 +127,11 @@ def _exact(value: object) -> int | Fraction:
 
 
 def require_nonsquare(d: int) -> int:
-    """Validate a radicand: d must be a positive nonsquare integer."""
-    if d <= 0:
+    """Validate a radicand: d must be a positive nonsquare integer.
+
+    A non-integer d raises TypeError whatever its sign, before the sign test.
+    """
+    if operator.index(d) <= 0:
         raise ValueError(f"d must be positive, got {_brief(d)}")
     if is_perfect_square(d):
         raise PerfectSquareError(f"d = {_brief(d)} is a perfect square")

@@ -29,9 +29,10 @@ b = 1 case.
 
 The public functions take d, z (or Dickson's a and x) as an int or a
 Fraction, through exact._exact, and the index n as an integer, through
-operator.index: a float, a str or a Decimal raises TypeError before any
-arithmetic.  _quadratic_power itself checks nothing, so it runs on any
-ring with +, - and *.
+operator.index, and a RedeiPair checks its fields the same way: a float,
+a str or a Decimal raises TypeError before any arithmetic.
+_quadratic_power itself checks nothing, so it runs on any ring with +, -
+and *.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ class RedeiPair(_Value):
     def __init__(
         self, d: int | Fraction, z: int | Fraction, n: int, num: int | Fraction, den: int | Fraction
     ) -> None:
-        self.__dict__.update(d=d, z=z, n=n, num=num, den=den)
+        self.__dict__.update(
+            d=_exact(d), z=_exact(z), n=index(n), num=_exact(num), den=_exact(den)
+        )
 
     @property
     def ratio(self) -> Fraction | Infinity:

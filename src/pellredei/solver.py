@@ -16,6 +16,8 @@ route: every strategy makes the same calls and raises the same errors.
 Neither the sequential convergent walk nor the linear fold's steps call
 the kernel: the walk is the independent witness, checked against the
 paper's Redei value, and the fold is what bench times the kernel against.
+The witness walks once per radicand: one convergent stream yields the
+report for n = 1, 2, ... as it passes each solution index.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built; a non-solution raises ConsistencyError (exit 4).
 """
@@ -29,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .contfrac import SqrtExpansion, nth_convergent, sqrt_cf
+from .contfrac import SqrtExpansion, _pairs, sqrt_cf
 from .exact import ConsistencyError, _brief, _Value, require_nonsquare
 from .hyperbola import HyperbolaPoint
 from .redei import _quadratic_power
@@ -188,24 +190,41 @@ class PellSolver:
         cleared.  Both sides equal x_n/y_n, reduced; the report records
         the raw values so a mismatch is inspectable.  The convergent comes
         from the sequential walk, independent of every solution route.
+        n is checked by solution_index before any work; the report is the
+        first of _reports(n), so one call walks once to its index and makes
+        one kernel call, and verify, which reads every n in turn from
+        _reports(), walks once per radicand.
         """
-        index = self.solution_index(n)
+        self.solution_index(n)
+        return next(self._reports(n))
+
+    def _reports(self, first: int = 1) -> Iterator[CorrespondenceReport]:
+        """The correspondence reports for n = first, first + 1, ..., from one walk.
+
+        Solution n is convergent n*stride - 1, stride = solution_index(1) + 1,
+        so one convergent stream is read at every stride-th index; the
+        pairs in between build no Convergent.  Each report makes one
+        kernel call for its Redei value.
+        """
         base = self.fundamental  # checked, so y1 >= 1 and the slope is finite
-        num, den = _quadratic_power(self.d, 1 + base.x, base.y, 2 * n)
-        conv = nth_convergent(self.expansion, index)
         length = self.period_length
-        return CorrespondenceReport(
-            d=self.d,
-            n=n,
-            period_length=length,
-            parity="even" if length % 2 == 0 else "odd",
-            convergent_index=index,
-            redei_num=num,
-            redei_den=den,
-            convergent_p=conv.p,
-            convergent_q=conv.q,
-            equal=num * conv.q == den * conv.p,
-        )
+        parity = "even" if length % 2 == 0 else "odd"
+        stride = self.solution_index(1) + 1
+        walk = itertools.islice(_pairs(self.expansion), first * stride - 1, None, stride)
+        for n, (p, q) in enumerate(walk, first):
+            num, den = _quadratic_power(self.d, 1 + base.x, base.y, 2 * n)
+            yield CorrespondenceReport(
+                d=self.d,
+                n=n,
+                period_length=length,
+                parity=parity,
+                convergent_index=n * stride - 1,
+                redei_num=num,
+                redei_den=den,
+                convergent_p=p,
+                convergent_q=q,
+                equal=num * q == den * p,
+            )
 
     def _checked(self, n: int, x: int, y: int, route: str) -> PellSolution:
         """(x, y) as the n-th solution: the one exact check of every route."""

@@ -1,6 +1,7 @@
 """Checks at the package's edges: exact checks, error paths and exit codes."""
 
 import ast
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -18,6 +19,7 @@ from pellredei import (
     PellSolver,
     PerfectSquareError,
     QuadraticElement,
+    RedeiPair,
     Strategy,
     cli,
     contfrac,
@@ -202,6 +204,7 @@ EXACT_ENTRY_POINTS = {
     "redei_rational": (redei_rational, (2, Fraction(3, 2), 3)),
     "dickson": (dickson, (-1, Fraction(2), 3)),
     "PellSolution": (PellSolution, (2, 1, 3, 2)),
+    "RedeiPair": (RedeiPair, (2, Fraction(3, 2), 1, Fraction(3, 2), 1)),
 }
 
 
@@ -230,6 +233,25 @@ class TestExactInputs:
             PellSolution(2, 1, Fraction(3), 2)
         with pytest.raises(TypeError):
             PellSolution(2, Fraction(1), 3, 2)
+
+    def test_redei_pair_fields_are_exact(self):
+        with pytest.raises(TypeError):
+            RedeiPair(2, 1.5, 1, 1.5, 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: LineGroup(-1.5),
+            lambda: PellSolution(-2.0, 1, 3, 2),
+            lambda: contfrac.sqrt_cf(-1.5),
+            lambda: QuadraticElement(1, 1, Decimal("-2")),
+        ],
+        ids=["LineGroup", "PellSolution", "sqrt_cf", "QuadraticElement"],
+    )
+    def test_negative_inexact_radicand_is_a_type_error(self, call):
+        # The type is checked before the sign, as for LineGroup(1.5).
+        with pytest.raises(TypeError):
+            call()
 
     def test_exact_inputs_stay_unconverted(self):
         for value in (3, Fraction(3), Fraction(3, 2)):
@@ -420,21 +442,45 @@ class TestWitnessWalk:
     walk, and solve never calls it."""
 
     def test_wrong_walk_fails_verify(self, monkeypatch, capsys):
-        real = solver.nth_convergent
-        monkeypatch.setattr(solver, "nth_convergent", lambda expansion, k: real(expansion, k + 1))
+        # The stream starts at convergent 1, so every index reads its successor.
+        real = solver._pairs
+        monkeypatch.setattr(solver, "_pairs", lambda expansion: itertools.islice(real(expansion), 1, None))
         code = main(["verify", "--d-max", "13", "--n-max", "2"])
         captured = capsys.readouterr()
         assert code == 4
         assert "Redei value != convergent" in captured.err
 
+    def test_verify_walks_once_per_radicand(self, monkeypatch):
+        real = solver._pairs
+        draws = {}  # d -> the pairs drawn from each stream opened for it
+
+        def counted(expansion):
+            opened = draws.setdefault(expansion.d, [])
+            opened.append(0)
+            slot = len(opened) - 1
+
+            def stream():
+                for pair in real(expansion):
+                    opened[slot] += 1
+                    yield pair
+
+            return stream()
+
+        monkeypatch.setattr(solver, "_pairs", counted)
+        assert main(["verify", "--d-max", "60", "--n-max", "4"]) == 0
+        assert sorted(draws) == [d for d in range(2, 61) if math.isqrt(d) ** 2 != d]
+        for d, opened in draws.items():
+            assert len(opened) == 1, f"d={d} opened {len(opened)} streams"
+            assert opened[0] <= PellSolver(d).solution_index(4) + 1
+
     def test_solve_does_not_walk(self, monkeypatch, capsys):
         assert main(["solve", "--d", "61", "--n", "50", "--strategy", "redei"]) == 0
         expected = capsys.readouterr()
 
-        def no_walk(expansion, k):
+        def no_walk(expansion):
             raise AssertionError("solve walked the convergents")
 
-        monkeypatch.setattr(solver, "nth_convergent", no_walk)
+        monkeypatch.setattr(solver, "_pairs", no_walk)
         code = main(["solve", "--d", "61", "--n", "50", "--strategy", "cf"])
         assert code == 0
         assert capsys.readouterr() == expected

@@ -226,15 +226,13 @@ class TestVerify:
         assert code == 0
         if fmt == "text":
             before = before.replace("checked 4 radicands, all consistent\n", "")
-        real = PellSolver.correspondence_check
+        real = PellSolver._reports
 
-        def wrong_at_7(self, n):
-            report = real(self, n)
-            if self.d != 7:
-                return report
-            return CorrespondenceReport(**{**vars(report), "equal": False})
+        def wrong_at_7(self):
+            for report in real(self):
+                yield report if self.d != 7 else CorrespondenceReport(**{**vars(report), "equal": False})
 
-        monkeypatch.setattr(PellSolver, "correspondence_check", wrong_at_7)
+        monkeypatch.setattr(PellSolver, "_reports", wrong_at_7)
         code, out, err = run(capsys, "verify", "--d-max", "20", "--n-max", "2", "--format", fmt)
         assert code == 4
         assert "Redei value != convergent at d=7, n=1" in err

@@ -331,3 +331,15 @@ class TestCorrespondence:
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             correspondence_check(2, 0)
+
+    def test_streamed_reports_match_single_checks(self):
+        for d in range(2, 101):
+            if brute_is_square(d):
+                continue
+            solver = PellSolver(d)
+            streamed = list(itertools.islice(solver._reports(), 10))
+            for n, report in enumerate(streamed, 1):
+                assert vars(report) == vars(correspondence_check(d, n))
+                conv = nth_convergent(solver.expansion, solver.solution_index(n))
+                assert (report.n, report.convergent_index) == (n, conv.k)
+                assert (report.convergent_p, report.convergent_q) == (conv.p, conv.q)
