@@ -11,7 +11,13 @@ internal cross-check failed.
 
 The argument parser is built once per process, on the first call to
 main, and reused by every later call: building it was most of a small
-call's fixed cost.  Importing the module builds nothing.
+call's fixed cost.  Importing the module builds nothing.  Each call is
+parsed in one pass: an argv that starts with a command name goes
+straight to that command's subparser, which parses it exactly as the
+top-level parser would hand it on.  The top-level parser runs only when
+argv names no command (help, usage and unknown commands) or when the
+subparser leaves tokens over, so argparse words every help text, usage
+error and exit code from the same parser objects either way.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import re
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -56,7 +63,17 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 
 
 def _rational(text: str) -> Fraction:
+    # Fraction computes 10**exponent unbounded ("1e999999999" runs for hours).
+    # An exponent stands for that many digits, so it is held to the digit
+    # limit int() puts on --d and --n (none when 0 or before Python 3.10.7).
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            Fraction(text[: exponent.start(1)] + "0")  # the rest must still read as a number
+            raise argparse.ArgumentTypeError(
+                f"exponent past the {limit}-digit int-to-str limit: {text!r}"
+            )
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
@@ -258,22 +275,35 @@ _COMMANDS: dict[str, tuple[str, Callable, Callable, tuple]] = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built from _COMMANDS on the first call and shared after it."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its {command name: subparser} map, built
+    from _COMMANDS on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="pellredei",
         description="Exact solutions of x^2 - d*y^2 = 1 and the algebra behind them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, (help_text, _, _, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
         for flag, options in (*arguments, _FORMAT):
             p.add_argument(flag, **options)
-    return parser
+    return parser, subparsers
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the top-level parser would, mostly by the command's subparser alone."""
+    parser, subparsers = _build_parser()
+    if argv and argv[0] in subparsers:
+        args, rest = subparsers[argv[0]].parse_known_args(argv[1:])
+        if not rest:  # else the top-level parser reports the unrecognized arguments
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     _, build, render_text, _ = _COMMANDS[args.command]
     render = _render_json if args.format == "json" else render_text
     try:

@@ -1,19 +1,24 @@
 import argparse
+import contextlib
 import importlib
+import io
 import itertools
 import json
 import os
 import statistics
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pellredei
 from pellredei import CorrespondenceReport, PellSolver, Strategy, cli
-from pellredei.cli import _build_parser, _median_time_ns, main
+from pellredei.cli import _build_parser, _median_time_ns, _parse, _rational, main
 
 
 def run(capsys, *argv):
@@ -136,6 +141,32 @@ class TestRedei:
             with pytest.raises(SystemExit) as excinfo:
                 main(["redei", "--d", "2", "--z", z, "--n", "1"])
             assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("z", ["1e5000", "1.5e-5000"])
+    def test_exponent_past_the_digit_limit_is_usage_error(self, capsys, monkeypatch, z):
+        # Fraction(z) would compute 10**5000 first; it must never see the text.
+        def fraction(text, *rest):
+            assert text != z, "Fraction received the refused text"
+            return Fraction(text, *rest)
+
+        monkeypatch.setattr(cli, "Fraction", fraction)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["redei", "--d", "2", "--z", z, "--n", "1"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "pellredei redei: error: argument --z: "
+            f"exponent past the {sys.get_int_max_str_digits()}-digit int-to-str limit: {z!r}"
+        )
+
+    def test_exponent_at_the_digit_limit_is_read_exactly(self):
+        limit = sys.get_int_max_str_digits()
+        assert _rational(f"1e{limit}") == 10**limit
+        assert _rational(f" -2.5E-{limit} ") == Fraction(-25, 10 ** (limit + 1))
+
+    def test_text_that_is_no_number_keeps_its_message(self):
+        for z in ("abce5000", "1e 5000", "1/2e5000"):
+            with pytest.raises(argparse.ArgumentTypeError, match="not a rational number"):
+                _rational(z)
 
 
 class TestBench:
@@ -278,6 +309,17 @@ class TestCallsInOneProcess:
         assert code == 3 and out == ""
 
 
+def _parsed(parse, argv):
+    """vars of the parsed namespace, or the SystemExit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -297,20 +339,153 @@ class TestCallsInOneProcess:
         *([name, "--help"] for name in ("solve", "cf", "redei", "bench", "verify")),
     ],
 )
-def test_reused_parser_parses_like_a_fresh_one(capsys, argv):
-    def outcome(parser, argv):
-        try:
-            result = vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            result = exc.code
-        captured = capsys.readouterr()
-        return result, captured.out, captured.err
-
-    reused = _build_parser()
-    parsed, _, _ = outcome(reused, ["solve", "--d", "7", "--n", "2", "--format", "json"])
+def test_reused_parser_parses_like_a_fresh_one(argv):
+    reused = _build_parser()[0].parse_args
+    parsed, _, _ = _parsed(reused, ["solve", "--d", "7", "--n", "2", "--format", "json"])
     assert parsed["format"] == "json"
-    assert outcome(reused, ["cf", "--d", "0"])[0] == 2
-    assert outcome(reused, argv) == outcome(_build_parser.__wrapped__(), argv)
+    assert _parsed(reused, ["cf", "--d", "0"])[0] == 2
+    assert _parsed(reused, argv) == _parsed(_build_parser.__wrapped__()[0].parse_args, argv)
+
+
+def _both_routes(argv):
+    """main's parse of argv, and a fresh top-level parser's."""
+    return _parsed(_parse, argv), _parsed(_build_parser.__wrapped__()[0].parse_args, argv)
+
+
+# Command names known, unknown and none; --k v and --k=v; abbreviations;
+# help; "--"; leftover and repeated tokens; bad types and choices.
+ROUTE_TOKENS = [
+    *cli._COMMANDS,
+    "bogus",
+    "Solve",
+    "sol",
+    "--d",
+    "--d=3",
+    "--n",
+    "--n=0",
+    "--z",
+    "--z=-1/2",
+    "--terms",
+    "--n-max",
+    "--d-max=2",
+    "--n-ma",
+    "--reps",
+    "--strategy",
+    "--strategy=magic",
+    "--format",
+    "--format=json",
+    "--form",
+    "-h",
+    "--h",
+    "--help",
+    "--",
+    "-",
+    "-x",
+    "2",
+    "0",
+    "x",
+    "-1/2",
+    "1e5000",
+    "json",
+    "cf",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["sol", "--d", "2"],
+        ["-h"],
+        ["--help"],
+        ["--d", "2"],
+        ["solve", "--d", "2"],
+        ["solve", "--d=1913", "--n=143", "--strategy=redei", "--format=json"],
+        ["solve", "--d", "2", "--form", "json"],
+        ["solve", "--d", "2", "--str=cf"],
+        ["solve", "--h"],
+        ["solve", "-h"],
+        ["solve", "--d", "2", "extra", "-h"],
+        ["solve", "--d", "2", "--"],
+        ["solve", "--d", "2", "--", "extra"],
+        ["solve", "--", "--d", "2"],
+        ["solve", "--d", "2", "extra"],
+        ["solve", "--d", "2", "solve"],
+        ["solve", "--d", "2", "--d", "3"],
+        ["solve", "--format", "json", "--d", "2", "--format=text"],
+        ["solve", "--d", "x"],
+        ["solve", "--d", "2", "--n", "0"],
+        ["solve", "--d", "2", "--strategy", "magic"],
+        ["solve", "--n", "2"],
+        ["solve", "--d"],
+        ["solve", "--bogus", "--d", "2"],
+        ["solve", "-x"],
+        ["cf", "--d", "7", "--terms=3"],
+        ["cf", "--d", "7", "--terms", "-1"],
+        ["redei", "--d", "5", "--z", "-1/2", "--n", "3"],
+        ["redei", "--d", "5", "--z=-1/2", "--n", "3"],
+        ["redei", "--d", "2", "--z", "1e5000", "--n", "1"],
+        ["redei", "--d", "2", "--z", "1.5e-3", "--n", "1"],
+        ["bench", "--d", "2", "--n-max", "2", "--reps", "1"],
+        ["verify", "--d-max", "3", "--n-ma", "2"],
+        ["verify", "extra", "--d-max", "3"],
+    ],
+)
+def test_both_parse_routes_agree(argv):
+    main_route, top_level = _both_routes(argv)
+    assert main_route == top_level
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from([*cli._COMMANDS, "bogus"]), st.lists(st.sampled_from(ROUTE_TOKENS))),
+        st.tuples(st.just(None), st.lists(st.sampled_from(ROUTE_TOKENS), max_size=4)),
+    )
+)
+def test_both_parse_routes_agree_on_drawn_argv(case):
+    command, tail = case
+    argv = tail if command is None else [command, *tail]
+    main_route, top_level = _both_routes(argv)
+    assert main_route == top_level
+
+
+def test_well_formed_call_skips_the_top_level_parser(capsys, monkeypatch):
+    def top_level_parse(*args, **kwargs):
+        raise AssertionError("reached the top-level parser")
+
+    # parse_args runs through parse_known_args, so this catches either.
+    monkeypatch.setattr(_build_parser()[0], "parse_known_args", top_level_parse)
+    for argv in (
+        ["solve", "--d", "2"],
+        ["solve", "--d=1913", "--n=143", "--strategy=cf", "--format=json"],
+        ["cf", "--d", "7", "--terms", "3", "--form", "json"],
+        ["redei", "--d=2", "--z=3/2", "--n=4"],
+        ["bench", "--d", "2", "--n-max", "2", "--reps", "1"],
+        ["verify", "--d-max", "5", "--n-max", "2"],
+    ):
+        assert main(argv) == 0
+    with pytest.raises(AssertionError, match="top-level"):
+        main(["solve", "--d", "2", "extra"])
+    capsys.readouterr()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="str() of an output past the 4300-digit limit raises (README, Known gap)",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--d", "2", "--n", "10000"],
+        ["redei", "--d", "2", "--z", "2", "--n", "20000"],
+        ["cf", "--d", "2", "--terms", "12000"],
+    ],
+)
+def test_output_past_the_digit_limit(capsys, argv):
+    assert main(argv) == 0
 
 
 def test_module_entry_point():
