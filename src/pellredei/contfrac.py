@@ -69,7 +69,8 @@ def sqrt_cf(d: int) -> SqrtExpansion:
     step past the middle must give the mirrored quotient there, or
     ConsistencyError is raised.
     """
-    a0 = isqrt(require_nonsquare(d))
+    d = require_nonsquare(d)
+    a0 = isqrt(d)
     prev_m, prev_s = 0, 1
     m, s = a0, d - a0 * a0
     half: list[int] = []

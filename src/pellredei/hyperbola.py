@@ -32,7 +32,7 @@ class HyperbolaPoint(_Value):
     __match_args__ = ("d", "x", "y")
 
     def __init__(self, d: int, x: int | Fraction, y: int | Fraction) -> None:
-        require_nonsquare(d)
+        d = require_nonsquare(d)
         x, y = Fraction(_exact(x)), Fraction(_exact(y))
         if x * x - d * (y * y) != 1:
             raise ValueError(f"({_brief(x)}, {_brief(y)}) is not on x^2 - {_brief(d)}y^2 = 1")
@@ -76,7 +76,7 @@ def from_parameter(d: int, m) -> HyperbolaPoint:
     Sends m to ((m**2 + d)/(m**2 - d), 2m/(m**2 - d)) and INF to the
     identity (1, 0).  Total because m**2 = d has no rational solution.
     """
-    require_nonsquare(d)
+    d = require_nonsquare(d)
     if m is INF:
         return HyperbolaPoint.identity(d)
     m = Fraction(_exact(m))

@@ -27,7 +27,7 @@ class LineGroup:
 
     def __init__(self, d: int) -> None:
         self.d = require_nonsquare(d)
-        self._root = QuadraticElement(0, 1, d)
+        self._root = QuadraticElement(0, 1, self.d)
 
     @property
     def identity(self) -> Infinity:

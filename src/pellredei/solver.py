@@ -19,7 +19,13 @@ paper's Redei value, and the fold is what bench times the kernel against.
 The witness walks once per radicand: one convergent stream yields the
 report for n = 1, 2, ... as it passes each solution index.
 Every route's answer, the linear fold's too, is checked once as its
-PellSolution is built; a non-solution raises ConsistencyError (exit 4).
+PellSolution is built, by exact._solves_pell; a non-solution raises
+ConsistencyError (exit 4).  Below 2**16 bits of x the check is the plain
+x*x - d*(y*y) == 1; past that it runs in residues modulo pairwise coprime
+Mersenne numbers whose product exceeds the identity's size, still
+exact, so checking a large n-th power squares no full-size number.
+The check tests the norm only: a wrong solution, such as the (n-1)-th,
+passes it.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .contfrac import SqrtExpansion, _pairs, sqrt_cf
-from .exact import ConsistencyError, _brief, _Value, require_nonsquare
+from .exact import ConsistencyError, _brief, _solves_pell, _Value, require_nonsquare
 from .hyperbola import HyperbolaPoint
 from .redei import _quadratic_power
 
@@ -63,12 +69,14 @@ class PellSolution(_Value):
     __match_args__ = ("d", "n", "x", "y")
 
     def __init__(self, d: int, n: int, x: int, y: int) -> None:
-        require_nonsquare(d)
-        if operator.index(n) < 1:
+        d = require_nonsquare(d)
+        n = operator.index(n)
+        if n < 1:
             raise ValueError("solutions are numbered from 1")
-        if operator.index(x) < 1 or operator.index(y) < 1:
+        x, y = operator.index(x), operator.index(y)
+        if x < 1 or y < 1:
             raise ValueError("positive solutions only")
-        if x * x - d * (y * y) != 1:
+        if not _solves_pell(x, y, d):
             raise ValueError(f"({_brief(x)}, {_brief(y)}) does not solve x^2 - {_brief(d)}y^2 = 1")
         self.__dict__.update(d=d, n=n, x=x, y=y)
 
@@ -113,7 +121,7 @@ class PellSolver:
 
     def __init__(self, d: int) -> None:
         self.expansion: SqrtExpansion = sqrt_cf(d)
-        self.d = d
+        self.d = self.expansion.d
 
     @property
     def period_length(self) -> int:

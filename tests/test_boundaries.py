@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,7 @@ from pellredei import (
     redei_pair_fast,
     redei_pair_linear,
     redei_rational,
+    require_nonsquare,
     solver,
 )
 from pellredei.cli import main
@@ -260,6 +262,68 @@ class TestExactInputs:
         assert LineGroup(8).rescale_from(2, 3) == 6
 
 
+class WrappingInt64:
+    """An integer-like value, as numpy.int64 is: __index__ gives its value,
+    and its arithmetic and comparisons are its own, wrapping at 64 bits."""
+
+    def __init__(self, value):
+        self.value = (operator.index(value) + 2**63) % 2**64 - 2**63
+
+    def __index__(self):
+        return self.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def _arithmetic(op, reflected=False):
+        def method(self, other):
+            a, b = self.value, operator.index(other)
+            return WrappingInt64(op(b, a) if reflected else op(a, b))
+
+        return method
+
+    def _comparison(op):
+        return lambda self, other: op(self.value, operator.index(other))
+
+    __add__, __radd__ = _arithmetic(operator.add), _arithmetic(operator.add, True)
+    __sub__, __rsub__ = _arithmetic(operator.sub), _arithmetic(operator.sub, True)
+    __mul__, __rmul__ = _arithmetic(operator.mul), _arithmetic(operator.mul, True)
+    __floordiv__ = _arithmetic(operator.floordiv)
+    __rfloordiv__ = _arithmetic(operator.floordiv, True)
+    __eq__, __ne__ = _comparison(operator.eq), _comparison(operator.ne)
+    __lt__, __le__ = _comparison(operator.lt), _comparison(operator.le)
+    __gt__, __ge__ = _comparison(operator.gt), _comparison(operator.ge)
+
+
+class TestIntegerLikeInputs:
+    """An integer-like d, n, x or y becomes a plain int at the boundary, so
+    no arithmetic of its own, such as a product that wraps, reaches a check."""
+
+    def test_stand_in_wraps(self):
+        x, y = WrappingInt64(2**32 + 1), WrappingInt64(2**16)
+        assert x * x - 2 * (y * y) == 1  # the exact value is 2**64 + 1
+
+    def test_wrapped_non_solution_is_refused(self):
+        with pytest.raises(ValueError, match="does not solve"):
+            PellSolution(2, 1, WrappingInt64(2**32 + 1), WrappingInt64(2**16))
+
+    def test_solution_fields_are_ints(self):
+        solution = PellSolution(*map(WrappingInt64, (2, 1, 3, 2)))
+        assert solution == PellSolution(2, 1, 3, 2)
+        assert [type(value) for value in solution._fields()] == [int] * 4
+
+    def test_radicand_is_an_int_everywhere(self):
+        d = WrappingInt64(2)
+        assert type(require_nonsquare(d)) is int
+        assert type(contfrac.sqrt_cf(d).d) is int
+        assert type(PellSolver(d).d) is int
+        assert type(QuadraticElement(1, 1, d).d) is int
+        assert type(HyperbolaPoint(d, 3, 2).d) is int
+
+    def test_nth_solution(self):
+        assert pellredei.nth_solution(WrappingInt64(2), 100) == pellredei.nth_solution(2, 100)
+
+
 class TestHugeValuesInMessages:
     """Error messages report the size of a huge number, never its digits."""
 
@@ -336,6 +400,47 @@ class TestWrongKernel:
         assert code == 4
         assert captured.out == ""
         assert "non-solution" in captured.err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the exact check tests the norm only")
+class TestKernelOneShort:
+    """A kernel that raises to n - 1 returns a solution, the wrong one, and
+    the exact check, plain or in residues, passes it: solve prints the
+    second solution as the third with exit 0.  Pinning the index as well as
+    the norm would catch it.  d = 7 has even period length, so its
+    fundamental makes no kernel call."""
+
+    @pytest.fixture(autouse=True)
+    def one_short(self, monkeypatch):
+        real = solver._quadratic_power
+        monkeypatch.setattr(solver, "_quadratic_power", lambda d, a, b, n: real(d, a, b, n - 1))
+
+    def test_cli_exit_code_4(self, capsys):
+        code = main(["solve", "--d", "7", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the exact check tests the norm only")
+class TestSquaredPeriodUnit:
+    """A _period_unit that returns its square returns a solution, the second,
+    and the exact check passes it: solve prints it as the first with exit 0."""
+
+    @pytest.fixture(autouse=True)
+    def squared(self, monkeypatch):
+        real = solver._period_unit
+
+        def square(expansion):
+            return solver._quadratic_power(expansion.d, *real(expansion), 2)
+
+        monkeypatch.setattr(solver, "_period_unit", square)
+
+    def test_cli_exit_code_4(self, capsys):
+        code = main(["solve", "--d", "7"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
 
 
 class TestWrongProductTree:

@@ -1,11 +1,16 @@
+import bisect
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_isqrt, random_fraction, random_nonsquare
+from oracles import brute_is_square, brute_isqrt, random_fraction, random_nonsquare
 from pellredei import (
+    PellSolution,
+    PellSolver,
     INF,
     Infinity,
     PerfectSquareError,
@@ -13,6 +18,7 @@ from pellredei import (
     decimal_digits,
     is_perfect_square,
     isqrt,
+    exact,
     require_nonsquare,
 )
 
@@ -239,3 +245,170 @@ class TestQuadraticElement:
 
     def test_repr(self):
         assert repr(QuadraticElement(1, 1, 2)) == "(1 + 1*sqrt(2))"
+
+
+def _plain(x, y, d):
+    return x * x - d * (y * y) == 1
+
+
+def _mersenne_product(exponents):
+    """The product of the 2**s - 1, by a balanced product tree."""
+    level = [(1 << s) - 1 for s in exponents]
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
+def _trial_prime(n):
+    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+class TestModMersenne:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(v=st.integers(0, 2**5000), s=st.integers(1, 300))
+    def test_matches_remainder(self, v, s):
+        assert exact._mod_mersenne(v, s) == v % ((1 << s) - 1)
+
+    @pytest.mark.parametrize("s", [1, 2, 61, 12289])
+    def test_edges(self, s):
+        m = (1 << s) - 1
+        for v in (0, 1, m - 1, m, m + 1, 2 * m, m * m, (1 << (8 * s + 3)) - 1):
+            assert exact._mod_mersenne(v, s) == v % m
+
+
+class TestSolvesPellAgrees:
+    """The check agrees with the plain expression on any (x, y, d) >= 0.
+
+    The threshold is patched to 0, so every draw takes the residue path,
+    and the ladder starts at 5, so small draws already need runs of
+    several moduli and large ones climb to later ladders."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        x=st.integers(0, 2**3000),
+        y=st.integers(0, 2**3000),
+        d=st.integers(0, 2**200) | st.integers(0, 20),
+    )
+    def test_random_triples(self, x, y, d):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_RESIDUE_BITS", 0)
+            mp.setattr(exact, "_LADDER_START", 5)
+            assert exact._solves_pell(x, y, d) == _plain(x, y, d)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        d=st.integers(2, 10**4).filter(lambda d: not brute_is_square(d)),
+        n=st.integers(1, 40),
+        dx=st.integers(-2, 2),
+        dy=st.integers(-2, 2),
+    )
+    def test_solutions_and_their_neighbours(self, d, n, dx, dy):
+        solution = PellSolver(d).nth_solution(n)
+        x, y = solution.x + dx, max(0, solution.y + dy)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_RESIDUE_BITS", 0)
+            mp.setattr(exact, "_LADDER_START", 5)
+            assert exact._solves_pell(x, y, d) == _plain(x, y, d)
+            assert exact._solves_pell(solution.x, solution.y, d)
+
+
+class TestSolvesPellAtThreshold:
+    """Real solutions just below and just above the threshold pass, on the
+    plain and the residue path, and every neighbour off by one is refused."""
+
+    @pytest.fixture(scope="class", params=[2, 61, 1000003])
+    def pair(self, request):
+        d = request.param
+        solver = PellSolver(d)
+        # The bits of the n-th solution grow about linearly in n.
+        n = exact._RESIDUE_BITS // solver.fundamental.x.bit_length()
+        n = exact._RESIDUE_BITS * n // solver.nth_solution(n).x.bit_length()
+        while solver.nth_solution(n).x.bit_length() >= exact._RESIDUE_BITS:
+            n -= 1
+        while solver.nth_solution(n + 1).x.bit_length() < exact._RESIDUE_BITS:
+            n += 1
+        below, above = solver.nth_solution(n), solver.nth_solution(n + 1)
+        assert below.x.bit_length() < exact._RESIDUE_BITS <= above.x.bit_length()
+        return below, above
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        real = exact._moduli
+
+        def counted(bound):
+            calls.append(bound)
+            return real(bound)
+
+        monkeypatch.setattr(exact, "_moduli", counted)
+        return calls
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_solution_passes_neighbours_fail(self, pair, runs, side):
+        solution = pair[side == "above"]
+        d, x, y = solution.d, solution.x, solution.y
+        assert exact._solves_pell(x, y, d)
+        assert len(runs) == (side == "above")
+        for dx, dy in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
+            assert not exact._solves_pell(x + dx, y + dy, d)
+            with pytest.raises(ValueError, match="does not solve"):
+                PellSolution(d, solution.n, x + dx, y + dy)
+
+
+class TestLadders:
+    """Every run of moduli is pairwise coprime and its product exceeds 2**bound,
+    at both ends of each ladder."""
+
+    def test_mersenne_gcd_identity(self):
+        for a in range(1, 40):
+            for b in range(1, 40):
+                assert math.gcd((1 << a) - 1, (1 << b) - 1) == (1 << math.gcd(a, b)) - 1
+
+    @pytest.mark.parametrize("rung", range(4))
+    def test_both_ends(self, rung):
+        previous = exact._ladder(exact._LADDER_START << (rung - 1))[1][-1] if rung else 0
+        primes, sums = exact._ladder(exact._LADDER_START << rung)
+        assert len(primes) == exact._LADDER_SIZE
+        assert primes[0] >= exact._LADDER_START << rung
+        for bound in (previous, sums[-1] - 1):
+            run = exact._moduli(bound)
+            assert run == primes[: len(run)]
+            assert all(map(_trial_prime, run)) and len(set(run)) == len(run)
+            assert sum(s - 1 for s in run[:-1]) <= bound < sum(s - 1 for s in run)
+            assert _mersenne_product(run) > 1 << bound
+        # Past the ladder's last sum the next ladder serves.
+        assert exact._moduli(sums[-1])[0] >= exact._LADDER_START << (rung + 1)
+
+    def test_first_ladder_moduli_are_pairwise_coprime(self):
+        moduli = [(1 << s) - 1 for s in exact._ladder(exact._LADDER_START)[0]]
+        for i, a in enumerate(moduli):
+            for b in moduli[i + 1 :]:
+                assert math.gcd(a, b) == 1
+
+
+class TestNearMiss:
+    """R = x^2 - d*y^2 - 1 nonzero and a multiple of every modulus of its run
+    but one: the one modulus it misses refuses it, wherever it stands.
+
+    With x = 2**(b - 1), y = 1 and d = x**2 - 1 + Q, R = -Q and the bound is
+    2b + 2; Q, the product of all moduli but one, is below x**2 as long as
+    the bound sits just under a running sum of the ladder."""
+
+    @pytest.mark.parametrize("position", [0, 5, -1])
+    def test_refused(self, position):
+        primes, sums = exact._ladder(exact._LADDER_START)
+        i = bisect.bisect_right(sums, 2 * exact._RESIDUE_BITS + 3)
+        bound = (sums[i] - 2) & ~1
+        run = primes[: i + 1]
+        missed = run[position]
+        q = _mersenne_product([s for s in run if s != missed])
+        bits = (bound - 2) // 2
+        x, y = 1 << (bits - 1), 1
+        d = x * x - 1 + q
+        assert x.bit_length() >= exact._RESIDUE_BITS
+        assert max(2 * x.bit_length(), d.bit_length() + 2 * y.bit_length()) + 1 == bound
+        assert exact._moduli(bound) == run
+        r = x * x - d * y * y - 1
+        assert r == -q != 0
+        assert [r % ((1 << s) - 1) == 0 for s in run] == [s != missed for s in run]
+        assert not exact._solves_pell(x, y, d)
