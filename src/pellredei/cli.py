@@ -125,9 +125,13 @@ def _cmd_bench(args: argparse.Namespace) -> Iterator[dict]:
     solver = PellSolver(args.d)
     solver.fundamental  # pull the continued-fraction work out of the timed region
     n = args.n_max
-    linear, linear_ns = _median_time_ns(
-        lambda: next(itertools.islice(solver.solutions(), n - 1, None)), args.reps
-    )
+
+    def linear_fold() -> PellSolution:
+        x, y = next(itertools.islice(solver._fold(), n - 1, None))
+        return solver._checked(n, x, y, "the linear fold")
+
+    # Both sides check their one answer once, inside the timed region.
+    linear, linear_ns = _median_time_ns(linear_fold, args.reps)
     # Every strategy runs this same kernel call.
     redei, redei_ns = _median_time_ns(lambda: solver.nth_solution(n, Strategy.REDEI), args.reps)
     if linear != redei:

@@ -17,17 +17,20 @@ slot takes operator.index of its value instead, so an integer-like value
 arithmetic, such as a fixed-width product that wraps, reaches a check.
 
 _solves_pell is the one exact Pell check, x**2 - d*y**2 == 1, that every
-PellSolution passes.  Below 2**16 bits of x it is the plain expression.
-Above, it tests R = x**2 - d*y**2 - 1 modulo Mersenne numbers 2**s - 1
-for a run of primes s whose sum of s - 1 exceeds the bits of |R|: these
-moduli are pairwise coprime and their product exceeds |R|, so R vanishes
-modulo all of them only if R = 0, and the test stays exact.  A residue
-is a few linear passes of shifts, masks and adds (_mod_mersenne), so the
-test squares s-bit residues, never the full-size x and y.  Best of 5 on
-a 2-vCPU VM under CPython 3.11, plain expression against this check:
-d = 61, n = 10**5 (x of 3.17M bits): 764 -> 352 ms; d = 1000003,
-n = 10**3 (832k bits): 96 -> 45 ms; d = 2, n = 10**5 (254k bits):
-14.2 -> 7.9 ms.
+PellSolution and every integer HyperbolaPoint passes.  Below 2**15 bits
+of x it is the plain expression.  Above, it tests R = x**2 - d*y**2 - 1
+modulo the pair 2**s - 1 and 2**s + 1 for a run of primes s whose sum of
+2*s - 3 exceeds the bits of |R|: these moduli are pairwise coprime but
+for a common factor 3 among the 2**s + 1, so their lcm exceeds |R|, R
+vanishes modulo all of them only if R = 0, and the test stays exact.
+One fold of x, and one of y, to 2**(2*s) - 1 serves both moduli of a
+pair, since 2**(2*s) - 1 = (2**s - 1)*(2**s + 1).  A fold is a few
+linear passes of shifts, masks and adds (_mod_mersenne), so the test
+squares s-bit residues, never the full-size x and y.  Best of 5 on a
+2-vCPU VM under CPython 3.11, plain expression against this check:
+d = 61, n = 10**5 (x of 3.17M bits): 790 -> 257 ms; d = 1000003,
+n = 10**3 (832k bits): 92.9 -> 34.6 ms; d = 2, n = 10**5 (254k bits):
+15.4 -> 7.4 ms.
 
 The package's immutable values -- points, Redei pairs, expansions,
 convergents, solutions and reports -- share one small base, _Value.  A
@@ -161,12 +164,13 @@ def require_nonsquare(d: int) -> int:
     return d
 
 
-# Bit length of x from which _solves_pell works in Mersenne residues: below
-# it the plain expression is cheaper (the two cost the same near 50k bits).
-_RESIDUE_BITS = 1 << 16
+# Bit length of x from which _solves_pell works in residues: below it the
+# plain expression is cheaper (the two cost the same near 30k bits).
+_RESIDUE_BITS = 1 << 15
 # The first ladder of prime exponents starts here, and each ladder holds
-# this many primes; the next ladder starts at twice the start.
-_LADDER_START = 12_288
+# this many primes; the next ladder starts at twice the start.  A start
+# above 3 keeps 9 from dividing any 2**s + 1.
+_LADDER_START = 3072
 _LADDER_SIZE = 48
 
 
@@ -176,13 +180,13 @@ def _is_prime(n: int) -> bool:
 
 @functools.cache
 def _ladder(start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first _LADDER_SIZE primes from start up, and the running sums of p - 1."""
+    """The first _LADDER_SIZE primes from start up, and the running sums of 2*p - 3."""
     primes = tuple(itertools.islice(filter(_is_prime, itertools.count(start)), _LADDER_SIZE))
-    return primes, tuple(itertools.accumulate(p - 1 for p in primes))
+    return primes, tuple(itertools.accumulate(2 * p - 3 for p in primes))
 
 
 def _moduli(bound: int) -> tuple[int, ...]:
-    """The shortest run of ladder primes s, from the ladder's start, with sum(s - 1) > bound.
+    """The shortest run of ladder primes s, from the ladder's start, with sum(2*s - 3) > bound.
 
     The first ladder that can reach bound serves, so a run holds at most
     _LADDER_SIZE primes and s grows with bound: the folds cost about
@@ -218,26 +222,52 @@ def _mod_mersenne(v: int, s: int) -> int:
     return 0 if v == mask else v
 
 
+def _split(v: int, s: int) -> tuple[int, int]:
+    """(v mod 2**s - 1, v mod 2**s + 1) for an int v in [0, 2**(2*s) - 1).
+
+    With v = hi*2**s + lo, 2**s is 1 modulo 2**s - 1 and -1 modulo
+    2**s + 1, so v reduces to lo + hi and to lo - hi.
+    """
+    lo, hi = v & ((1 << s) - 1), v >> s
+    minus = lo - hi
+    return _mod_mersenne(lo + hi, s), minus + (1 << s) + 1 if minus < 0 else minus
+
+
+def _mod_fermat(v: int, s: int) -> int:
+    """v mod 2**s + 1, in [0, 2**s + 1), for an int v >= 0, by shifts, masks and adds.
+
+    2**s + 1 divides 2**(2*s) - 1, so v folds first to width 2*s.
+    """
+    return _split(_mod_mersenne(v, 2 * s), s)[1]
+
+
 def _solves_pell(x: int, y: int, d: int) -> bool:
     """x**2 - d*y**2 == 1, decided exactly, for ints x, y, d >= 0.
 
     Below _RESIDUE_BITS bits of x this is the plain expression.  Above,
-    R = x**2 - d*y**2 - 1 is tested modulo M_s = 2**s - 1 for a run of
-    primes s with sum(s - 1) > B = max(2*bits(x), bits(d) + 2*bits(y)) + 1.
-    The argument: |R| < 2**B; distinct primes a, b give
-    gcd(M_a, M_b) = 2**gcd(a, b) - 1 = 1, so the M_s are pairwise coprime
-    and, by the Chinese remainder theorem, R = 0 mod every M_s means
-    R = 0 mod their product, which is at least 2**sum(s - 1) > 2**B > |R|;
-    so R = 0.  Nothing is probabilistic.  The residues of x and y cost
-    linear folds, and the squares are of s-bit numbers, so the test
-    never squares the full-size x and y.
+    R = x**2 - d*y**2 - 1 is tested modulo 2**s - 1 and 2**s + 1 for a
+    run of primes s > 3 with sum(2*s - 3) > B = max(2*bits(x),
+    bits(d) + 2*bits(y)) + 1.  The argument: |R| < 2**B, and for
+    distinct odd primes a, b,
+      - gcd(2**a - 1, 2**b - 1) = 2**gcd(a, b) - 1 = 1,
+      - gcd(2**a - 1, 2**b + 1) = 1 and gcd(2**a - 1, 2**a + 1) = 1,
+      - gcd(2**a + 1, 2**b + 1) = 2**gcd(a, b) + 1 = 3, and for s > 3
+        the prime 3 divides 2**s + 1 exactly once.
+    So the lcm of the moduli is 3 times the product of the 2**s - 1 and
+    the (2**s + 1)/3, at least 2**sum(2*s - 3) > 2**B > |R|, and R = 0
+    modulo every one of them means R = 0.  Nothing is probabilistic.
+    x, y and d are folded once per pair, to 2**(2*s) - 1, and split
+    into both residues (_split); the squares are of s-bit numbers, so
+    the test never squares the full-size x and y.
     """
     if x.bit_length() < _RESIDUE_BITS:
         return x * x - d * (y * y) == 1
     bound = max(2 * x.bit_length(), d.bit_length() + 2 * y.bit_length()) + 1
     for s in _moduli(bound):
-        xs, ys, ds = _mod_mersenne(x, s), _mod_mersenne(y, s), _mod_mersenne(d, s)
-        if _mod_mersenne(xs * xs, s) != _mod_mersenne(ds * _mod_mersenne(ys * ys, s) + 1, s):
+        (xm, xp), (ym, yp), (dm, dp) = (_split(_mod_mersenne(v, 2 * s), s) for v in (x, y, d))
+        if _mod_mersenne(xm * xm, s) != _mod_mersenne(dm * _mod_mersenne(ym * ym, s) + 1, s):
+            return False
+        if _mod_fermat(xp * xp, s) != _mod_fermat(dp * _mod_fermat(yp * yp, s) + 1, s):
             return False
     return True
 

@@ -7,8 +7,12 @@ The product
 is multiplication in Q(sqrt(d)) restricted to elements of norm one, so
 identity (1, 0), inverse = conjugate (x, -y), and associativity are all
 inherited.  A point's n-th power is (x + y*sqrt(d))**n, one call of the
-square-and-multiply kernel over Q, so exponentiation is logarithmic, and
-the curve is checked once, on the result.
+integer square-and-multiply kernel on the point with its common
+denominator w cleared, X + Y*sqrt(d) = w*(x + y*sqrt(d)), then divided
+by w**n, so exponentiation is logarithmic, and the curve is checked
+once, on the result.  A point with integer coordinates is checked by
+exact._solves_pell, the check every Pell solution passes; any other by
+the plain expression on Fractions.
 
 The parametrization by slope connects this group to the projective-line
 group in projline: from_parameter/to_parameter are mutually inverse
@@ -20,7 +24,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import INF, Infinity, QuadraticElement, _brief, _exact, _Value, require_nonsquare
+from .exact import (
+    INF,
+    Infinity,
+    QuadraticElement,
+    _brief,
+    _exact,
+    _solves_pell,
+    _Value,
+    require_nonsquare,
+)
 from .redei import _quadratic_power
 
 __all__ = ["HyperbolaPoint", "from_parameter", "to_parameter"]
@@ -34,7 +47,11 @@ class HyperbolaPoint(_Value):
     def __init__(self, d: int, x: int | Fraction, y: int | Fraction) -> None:
         d = require_nonsquare(d)
         x, y = Fraction(_exact(x)), Fraction(_exact(y))
-        if x * x - d * (y * y) != 1:
+        if x.denominator == 1 == y.denominator:
+            on_curve = _solves_pell(abs(x.numerator), abs(y.numerator), d)
+        else:
+            on_curve = x * x - d * (y * y) == 1
+        if not on_curve:
             raise ValueError(f"({_brief(x)}, {_brief(y)}) is not on x^2 - {_brief(d)}y^2 = 1")
         self.__dict__.update(d=d, x=x, y=y)
 
@@ -58,9 +75,19 @@ class HyperbolaPoint(_Value):
         return HyperbolaPoint(self.d, self.x, -self.y)
 
     def __pow__(self, n: int) -> "HyperbolaPoint":
-        """n-th group power; only the result is checked against the curve."""
-        x, y = _quadratic_power(self.d, self.x, self.y, abs(n))
-        return HyperbolaPoint(self.d, x, -y if n < 0 else y)
+        """n-th group power; only the result is checked against the curve.
+
+        y's denominator w is a common denominator: w**2 * x**2 =
+        w**2 + d*(w*y)**2 is an integer, so w*x is one too.  So X = w*x and
+        Y = w*y are integers with X**2 - d*Y**2 = w**2, and the power is
+        one integer kernel call on (X, Y), divided by w**n.
+        """
+        w = self.y.denominator
+        x, y = _quadratic_power(
+            self.d, self.x.numerator * (w // self.x.denominator), self.y.numerator, abs(n)
+        )
+        w = w ** abs(n)
+        return HyperbolaPoint(self.d, Fraction(x, w), Fraction(-y if n < 0 else y, w))
 
     def to_quadratic(self) -> QuadraticElement:
         """The norm-one field element x + y*sqrt(d) this point represents."""

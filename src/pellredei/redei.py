@@ -17,22 +17,25 @@ give a logarithmic-time one by binary doubling.  Both kernels compute in
 the ring of their inputs: integer d and z give integer pairs.
 
 When a + b*sqrt(d) has norm one, a**2 - d*b**2 = 1, so does each of its
-powers x + y*sqrt(d), and the doubled x**2 + d*y**2 is 2*x**2 - 1, the
-Dickson step g_2(1, u) = u**2 - 2 on u = 2x.  That holds on the
-hyperbola, for every Pell solution and every HyperbolaPoint power, and
-there a doubling costs one square and one product; any other input costs
-two squares and one product.
+powers x + y*sqrt(d): the doubled x**2 + d*y**2 is 2*x**2 - 1, the
+Dickson step g_2(1, u) = u**2 - 2 on u = 2x, and y**2 is (x**2 - 1)/d.
+That holds on the hyperbola, for every Pell solution and every
+HyperbolaPoint power, and there a doubling costs two squares; any other
+input costs two squares and one product.
 
 Every power of a + b*sqrt(d) in the package is one call of that
-square-and-multiply loop, _quadratic_power; the fast Redei pair is its
-b = 1 case.
+square-and-multiply loop, _quadratic_power, on integers; the fast Redei
+pair is its b = 1 case.  A rational z = u/v and d = p/q are cleared
+first: z + sqrt(d) = (u*q + v*sqrt(p*q))/(v*q), so one integer call on
+(p*q, u*q, v) and a division by (v*q)**n give the pair.
 
 The public functions take d, z (or Dickson's a and x) as an int or a
 Fraction, through exact._exact, and the index n as an integer, through
 operator.index, and a RedeiPair checks its fields the same way: a float,
 a str or a Decimal raises TypeError before any arithmetic.
-_quadratic_power itself checks nothing, so it runs on any ring with +, -
-and *.
+_quadratic_power itself checks nothing; it takes ints only, since its
+norm-one doubling divides exactly by d with //, which would floor a
+Fraction.
 """
 
 from __future__ import annotations
@@ -95,30 +98,43 @@ def redei_pair_linear(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair
 def redei_pair_fast(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
     """Same pair by square-and-multiply; O(log n) ring operations.
 
-    The power (z + sqrt(d))**n of _quadratic_power at b = 1.
+    With z = u/v and d = p/q in lowest terms, (z + sqrt(d))**n is
+    (X + Y*sqrt(p*q))/(v*q)**n for X + Y*sqrt(p*q) = (u*q + v*sqrt(p*q))**n,
+    one integer call of _quadratic_power, so num = X/(v*q)**n and
+    den = Y*q/(v*q)**n.  An int d and an int z give int num and den.
     """
-    return RedeiPair(d, z, n, *_quadratic_power(_exact(d), _exact(z), 1, index(n)))
+    d, z, n = _exact(d), _exact(z), index(n)
+    p, q, u, v = d.numerator, d.denominator, z.numerator, z.denominator
+    x, y = _quadratic_power(p * q, u * q, v, n)
+    if isinstance(d, int) and isinstance(z, int):
+        return RedeiPair(d, z, n, x, y)
+    w = (v * q) ** n
+    return RedeiPair(d, z, n, Fraction(x, w), Fraction(y * q, w))
 
 
-def _quadratic_power(
-    d: int | Fraction, a: int | Fraction, b: int | Fraction, n: int
-) -> tuple[int | Fraction, int | Fraction]:
-    """(x, y) with x + y*sqrt(d) = (a + b*sqrt(d))**n, for n >= 0.
+def _quadratic_power(d: int, a: int, b: int, n: int) -> tuple[int, int]:
+    """(x, y) with x + y*sqrt(d) = (a + b*sqrt(d))**n, for ints d, a, b and n >= 0.
 
     Scans the bits of n from the most significant end, using
 
         doubling:   (x, y) -> (x**2 + d*y**2, 2*x*y)
         step by 1:  (x, y) -> (a*x + d*b*y, b*x + a*y)
 
-    so only two values are carried per level, never a full matrix.
-    Integer d, a and b keep every product in Z, with no gcd reduction.
+    so only two values are carried per level, never a full matrix, and
+    every product stays in Z, with no gcd reduction.
 
-    The doubling costs one square and one product per level when
-    a**2 - d*b**2 = 1, since the norm x**2 - d*y**2 then stays 1 and the
-    new x is 2*x**2 - 1; otherwise it costs two squares and one product,
-    with d*y**2 taken as d times the square y**2.  The first doubling
-    after the leading bit is of (a, b) itself, so it takes a*a and b*b
-    from the norm test: at n = 2 the call makes three full-size products.
+    When a**2 - d*b**2 = 1 and d != 0, the norm x**2 - d*y**2 stays 1 at
+    every level, so with xx = x**2 the doubling is
+
+        (x, y) -> (2*xx - 1, (x + y)**2 - xx - (xx - 1)//d)
+
+    two squares and an exact division by d, as y**2 = (xx - 1)/d and
+    2*x*y = (x + y)**2 - x**2 - y**2.  d = 0 with a = +-1 also has norm
+    one, and its doubling is 2*x**2 - 1 and 2*x*y.  Any other input
+    costs two squares and one product, with d*y**2 taken as d times the
+    square y**2.  The first doubling after the leading bit is of (a, b)
+    itself, so it takes a*a and b*b from the norm test: at n = 2 the
+    call makes three full-size products.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
@@ -128,6 +144,9 @@ def _quadratic_power(
     for level, bit in enumerate(bin(n)[2:]):
         if level == 1:
             x, y = aa + d * bb, 2 * x * y
+        elif unit_norm and d:
+            xx = x * x
+            x, y = 2 * xx - 1, (x + y) ** 2 - xx - (xx - 1) // d
         elif unit_norm:
             x, y = 2 * (x * x) - 1, 2 * x * y
         else:

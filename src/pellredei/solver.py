@@ -20,10 +20,11 @@ The witness walks once per radicand: one convergent stream yields the
 report for n = 1, 2, ... as it passes each solution index.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built, by exact._solves_pell; a non-solution raises
-ConsistencyError (exit 4).  Below 2**16 bits of x the check is the plain
-x*x - d*(y*y) == 1; past that it runs in residues modulo pairwise coprime
-Mersenne numbers whose product exceeds the identity's size, still
-exact, so checking a large n-th power squares no full-size number.
+ConsistencyError (exit 4).  bench checks only the fold's last pair,
+not each step.  Below 2**15 bits of x the check is the plain
+x*x - d*(y*y) == 1; past that it runs in residues modulo pairs
+2**s - 1, 2**s + 1 whose lcm exceeds the identity's size, still exact,
+so checking a large n-th power squares no full-size number.
 The check tests the norm only: a wrong solution, such as the (n-1)-th,
 passes it.
 """
@@ -182,12 +183,20 @@ class PellSolver:
         Each step is one Brahmagupta composition with the minimal
         solution, so reaching the n-th solution costs n steps: the
         linear-time baseline the logarithmic strategies are measured
-        against.
+        against.  Every solution is checked as it is built.
+        """
+        for n, (x, y) in enumerate(self._fold(), 1):
+            yield self._checked(n, x, y, "the linear fold")
+
+    def _fold(self) -> Iterator[tuple[int, int]]:
+        """The unchecked pairs (x, y) of solutions 1, 2, ... by repeated composition.
+
+        bench times this fold to the n-th pair and checks only that pair.
         """
         base = self.fundamental
         x, y = base.x, base.y
-        for n in itertools.count(1):
-            yield self._checked(n, x, y, "the linear fold")
+        while True:
+            yield x, y
             x, y = x * base.x + self.d * y * base.y, y * base.x + x * base.y
 
     def correspondence_check(self, n: int) -> CorrespondenceReport:

@@ -374,6 +374,24 @@ class TestCheckAtScale:
         with pytest.raises(ValueError, match="is not on"):
             HyperbolaPoint(61, solution.x + dx, solution.y + dy)
 
+    def test_integer_point_takes_the_one_check(self, solution, monkeypatch):
+        # point() re-checks a solution through _solves_pell, not on Fractions,
+        # and a sign on either coordinate keeps the point on the curve.
+        calls = []
+
+        def spy(x, y, d):
+            calls.append((x, y, d))
+            return exact._solves_pell(x, y, d)
+
+        monkeypatch.setattr(hyperbola, "_solves_pell", spy)
+        x, y = solution.x, solution.y
+        assert solution.point() == HyperbolaPoint(61, x, y)
+        for sx, sy in [(-1, 1), (1, -1), (-1, -1)]:
+            assert HyperbolaPoint(61, sx * x, sy * y).x == sx * x
+            with pytest.raises(ValueError, match="is not on"):
+                HyperbolaPoint(61, sx * (x - 1), sy * y)
+        assert calls == [(x, y, 61)] * 2 + [(x, y, 61), (x - 1, y, 61)] * 3
+
 
 class TestWrongKernel:
     """A kernel that returns a non-solution is caught by the one exact check."""

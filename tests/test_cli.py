@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import pellredei
 from pellredei import CorrespondenceReport, PellSolver, Strategy, cli
+from pellredei import solver as solver_module
 from pellredei.cli import _build_parser, _median_time_ns, _parse, _rational, main
 
 
@@ -205,6 +206,31 @@ class TestBench:
             return real(self, n + 1, strategy)
 
         monkeypatch.setattr(PellSolver, "nth_solution", off_by_one)
+        code, _, err = run(capsys, "bench", "--d", "2", "--n-max", "3", "--reps", "1")
+        assert code == 4
+        assert "disagree" in err
+
+    @pytest.mark.parametrize("n_max", [2, 40, 400])
+    def test_checks_do_not_grow_with_n_max(self, capsys, monkeypatch, n_max):
+        # The fundamental once, then one answer per side and rep; the fold's
+        # steps are not checked.
+        calls = []
+        real = solver_module._solves_pell
+
+        def counted(x, y, d):
+            calls.append(d)
+            return real(x, y, d)
+
+        monkeypatch.setattr(solver_module, "_solves_pell", counted)
+        code, _, _ = run(capsys, "bench", "--d", "61", "--n-max", str(n_max), "--reps", "3")
+        assert code == 0
+        assert len(calls) == 1 + 2 * 3
+
+    def test_detects_a_fold_one_step_ahead(self, capsys, monkeypatch):
+        # Every pair of this fold solves the equation; only the redei side
+        # shows it is the wrong one.
+        real = PellSolver._fold
+        monkeypatch.setattr(PellSolver, "_fold", lambda self: itertools.islice(real(self), 1, None))
         code, _, err = run(capsys, "bench", "--d", "2", "--n-max", "3", "--reps", "1")
         assert code == 4
         assert "disagree" in err

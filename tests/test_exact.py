@@ -251,12 +251,25 @@ def _plain(x, y, d):
     return x * x - d * (y * y) == 1
 
 
-def _mersenne_product(exponents):
-    """The product of the 2**s - 1, by a balanced product tree."""
-    level = [(1 << s) - 1 for s in exponents]
+def _product(factors):
+    """The product of the factors, by a balanced product tree."""
+    level = list(factors)
     while len(level) > 1:
         level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
     return level[0]
+
+
+def _moduli_of(run):
+    """The moduli of a run of primes s: each 2**s - 1, then each 2**s + 1."""
+    return [(1 << s) - 1 for s in run] + [(1 << s) + 1 for s in run]
+
+
+def _lcm(moduli):
+    """The lcm of moduli whose pairwise gcds are 1 or 3 and which 9 divides
+    none of (TestLadders checks both): their product over 3**(k - 1), with
+    k the number of them that 3 divides."""
+    k = sum(m % 3 == 0 for m in moduli)
+    return _product(moduli) // 3 ** max(k - 1, 0)
 
 
 def _trial_prime(n):
@@ -274,6 +287,27 @@ class TestModMersenne:
         m = (1 << s) - 1
         for v in (0, 1, m - 1, m, m + 1, 2 * m, m * m, (1 << (8 * s + 3)) - 1):
             assert exact._mod_mersenne(v, s) == v % m
+
+
+class TestModFermat:
+    """The 2**s + 1 fold, and the split of a 2**(2*s) - 1 residue into both halves."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(v=st.integers(0, 2**5000), s=st.integers(1, 300))
+    def test_matches_remainder(self, v, s):
+        assert exact._mod_fermat(v, s) == v % ((1 << s) + 1)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), s=st.integers(1, 300))
+    def test_split_matches_remainders(self, data, s):
+        v = data.draw(st.integers(0, (1 << (2 * s)) - 2))
+        assert exact._split(v, s) == (v % ((1 << s) - 1), v % ((1 << s) + 1))
+
+    @pytest.mark.parametrize("s", [1, 2, 61, 12289])
+    def test_edges(self, s):
+        m = (1 << s) + 1
+        for v in (0, 1, m - 2, m - 1, m, m + 1, 2 * m, m * m, (1 << (8 * s + 3)) - 1):
+            assert exact._mod_fermat(v, s) == v % m
 
 
 class TestSolvesPellAgrees:
@@ -356,13 +390,19 @@ class TestSolvesPellAtThreshold:
 
 
 class TestLadders:
-    """Every run of moduli is pairwise coprime and its product exceeds 2**bound,
+    """Every run of moduli has pairwise gcds 1 or 3 and an lcm above 2**bound,
     at both ends of each ladder."""
 
     def test_mersenne_gcd_identity(self):
         for a in range(1, 40):
             for b in range(1, 40):
                 assert math.gcd((1 << a) - 1, (1 << b) - 1) == (1 << math.gcd(a, b)) - 1
+
+    def test_plus_one_gcd_identities(self):
+        for a in range(1, 40, 2):
+            for b in range(1, 40, 2):
+                assert math.gcd((1 << a) + 1, (1 << b) + 1) == (1 << math.gcd(a, b)) + 1
+                assert math.gcd((1 << a) - 1, (1 << b) + 1) == 1
 
     @pytest.mark.parametrize("rung", range(4))
     def test_both_ends(self, rung):
@@ -374,8 +414,8 @@ class TestLadders:
             run = exact._moduli(bound)
             assert run == primes[: len(run)]
             assert all(map(_trial_prime, run)) and len(set(run)) == len(run)
-            assert sum(s - 1 for s in run[:-1]) <= bound < sum(s - 1 for s in run)
-            assert _mersenne_product(run) > 1 << bound
+            assert sum(2 * s - 3 for s in run[:-1]) <= bound < sum(2 * s - 3 for s in run)
+            assert _lcm(_moduli_of(run)) > 1 << bound
         # Past the ladder's last sum the next ladder serves.
         assert exact._moduli(sums[-1])[0] >= exact._LADDER_START << (rung + 1)
 
@@ -385,23 +425,42 @@ class TestLadders:
             for b in moduli[i + 1 :]:
                 assert math.gcd(a, b) == 1
 
+    def test_first_ladder_moduli_have_pairwise_gcds_1_or_3(self):
+        primes = exact._ladder(exact._LADDER_START)[0]
+        assert min(primes) > 3
+        moduli = _moduli_of(primes)
+        for i, a in enumerate(moduli):
+            assert a % 9
+            for b in moduli[i + 1 :]:
+                assert math.gcd(a, b) == (3 if a % 3 == 0 == b % 3 else 1)
+        assert sum(m % 3 == 0 for m in moduli) == len(primes)
+
 
 class TestNearMiss:
     """R = x^2 - d*y^2 - 1 nonzero and a multiple of every modulus of its run
-    but one: the one modulus it misses refuses it, wherever it stands.
+    but one: the one modulus it misses refuses it, wherever it stands, on
+    either side of a pair.
 
     With x = 2**(b - 1), y = 1 and d = x**2 - 1 + Q, R = -Q and the bound is
-    2b + 2; Q, the product of all moduli but one, is below x**2 as long as
-    the bound sits just under a running sum of the ladder."""
+    2b + 2; Q, the lcm of all moduli but one, is below x**2 as long as the
+    bound sits just under a running sum of the ladder."""
 
     @pytest.mark.parametrize("position", [0, 5, -1])
     def test_refused(self, position):
+        self._refused(position, "minus")
+
+    @pytest.mark.parametrize("position", [0, 5, -1])
+    def test_refused_on_the_plus_side(self, position):
+        self._refused(position, "plus")
+
+    def _refused(self, position, side):
         primes, sums = exact._ladder(exact._LADDER_START)
         i = bisect.bisect_right(sums, 2 * exact._RESIDUE_BITS + 3)
         bound = (sums[i] - 2) & ~1
         run = primes[: i + 1]
-        missed = run[position]
-        q = _mersenne_product([s for s in run if s != missed])
+        moduli = _moduli_of(run)
+        missed = (1 << run[position]) + (1 if side == "plus" else -1)
+        q = _lcm([m for m in moduli if m != missed])
         bits = (bound - 2) // 2
         x, y = 1 << (bits - 1), 1
         d = x * x - 1 + q
@@ -410,5 +469,5 @@ class TestNearMiss:
         assert exact._moduli(bound) == run
         r = x * x - d * y * y - 1
         assert r == -q != 0
-        assert [r % ((1 << s) - 1) == 0 for s in run] == [s != missed for s in run]
+        assert [r % m == 0 for m in moduli] == [m != missed for m in moduli]
         assert not exact._solves_pell(x, y, d)

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_fraction, random_nonsquare
 from pellredei import (
@@ -108,6 +111,22 @@ class TestPowers:
                 assert p**n == acc
                 assert p.conjugate() ** -n == acc
                 acc = acc * p
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        d=st.integers(2, 200).filter(lambda d: isqrt(d) ** 2 != d),
+        m=st.fractions(max_denominator=40).filter(lambda m: abs(m.numerator) <= 10**4),
+        n=st.integers(0, 12),
+    )
+    def test_rational_powers_match_repeated_products(self, d, m, n):
+        # Radicands with square factors give points whose x and y have
+        # different denominators, such as (2, 1/2) at d = 12.
+        for p in (from_parameter(d, m), HyperbolaPoint(12, 2, Fraction(1, 2))):
+            acc = HyperbolaPoint.identity(p.d)
+            for _ in range(n):
+                acc = acc * p
+            assert p**n == acc
+            assert p ** -n == acc.conjugate()
 
     def test_negative_exponents(self):
         rng = random.Random(404)

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dickson_sum,
@@ -13,12 +16,18 @@ from oracles import (
 )
 from pellredei import (
     INF,
+    HyperbolaPoint,
+    LineGroup,
     PellSolver,
     dickson,
+    from_parameter,
     redei_pair_fast,
     redei_pair_linear,
     redei_rational,
 )
+from pellredei import hyperbola as hyperbola_module
+from pellredei import redei as redei_module
+from pellredei import solver as solver_module
 from pellredei.redei import _quadratic_power
 from pellredei.solver import _period_unit
 
@@ -42,6 +51,16 @@ QUADRATIC_BASES = [
     (7, 4, 0),
     (7, Fraction(-3, 5), 0),
 ]
+
+
+def _cleared_power(d, a, b, n):
+    """(a + b*sqrt(d))**n for rational a and b, by one kernel call on integers:
+    w*(a + b*sqrt(d)) with w the common denominator, then divided by w**n."""
+    a, b = Fraction(a), Fraction(b)
+    w = math.lcm(a.denominator, b.denominator)
+    x, y = _quadratic_power(d, int(a * w), int(b * w), n)
+    assert type(x) is int and type(y) is int
+    return Fraction(x, w**n), Fraction(y, w**n)
 
 
 class TestPairValues:
@@ -106,16 +125,14 @@ class TestPairValues:
             assert (pair.num, pair.den) == field_power_pair(d, z, n)
         for d, a, b in QUADRATIC_BASES:
             for n in range(25):
-                power = _quadratic_power(d, a, b, n)
+                power = _cleared_power(d, a, b, n)
                 assert power == field_power_pair(d, a, n, b), (d, a, b, n)
-                if type(a) is int and type(b) is int:
-                    assert all(type(part) is int for part in power)
         assert {a * a - d * (b * b) for d, a, b in QUADRATIC_BASES} >= {1, -1}
         for _ in range(60):
             d = random_nonsquare(rng)
             a, b = random_fraction(rng), random_fraction(rng)
             n = rng.randint(0, 40)
-            assert _quadratic_power(d, a, b, n) == field_power_pair(d, a, n, b)
+            assert _cleared_power(d, a, b, n) == field_power_pair(d, a, n, b)
 
     def test_determinant_identity(self):
         rng = random.Random(204)
@@ -138,8 +155,9 @@ class TestPairValues:
             assert fast.num**2 - d * fast.den**2 == (z * z - d) ** n
 
 
-# (d, z) with z**2 - d = 1, where the kernel doubles by 2*num**2 - 1:
-# x1 + sqrt(x1**2 - 1) for Pell solutions x1, and rational ones.
+# (d, z) with z**2 - d = 1: x1 + sqrt(x1**2 - 1) for Pell solutions x1,
+# where the kernel takes the unit-norm doubling, and rational ones, whose
+# cleared integer base has norm (v*q)**2 and takes the general doubling.
 UNIT_NORM_INPUTS = [
     (x1 * x1 - 1, x1) for x1 in (2, 3, 9, 649, 1766319049)
 ] + [
@@ -186,6 +204,59 @@ class TestUnitNormDoubling:
             if solution.n in indices:
                 pair = redei_pair_fast(x1 * x1 - 1, x1, solution.n)
                 assert (pair.num, y1 * pair.den) == (solution.x, solution.y)
+
+
+small_fractions = st.integers(-60, 60).flatmap(
+    lambda num: st.integers(1, 30).map(lambda den: Fraction(num, den))
+)
+
+
+class TestClearedRoute:
+    """A rational d or z is cleared to one integer kernel call; the pair
+    equals the linear recurrence on Fractions."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        d=small_fractions | st.integers(-20, 20),
+        z=small_fractions | st.integers(-20, 20),
+        n=st.integers(0, 40),
+    )
+    @example(d=61, z=Fraction(7, 10), n=20)  # gcd(n, v) = 10
+    @example(d=Fraction(3, 2), z=Fraction(5, 6), n=12)  # gcd(n, v*q) = 12
+    @example(d=0, z=Fraction(1, 3), n=9)  # norm one with d = 0
+    @example(d=0, z=-1, n=7)
+    @example(d=-1, z=0, n=11)  # norm one with d < 0
+    @example(d=Fraction(-7, 3), z=Fraction(-2, 9), n=0)
+    def test_fast_equals_linear(self, d, z, n):
+        fast = redei_pair_fast(d, z, n)
+        slow = redei_pair_linear(d, z, n)
+        assert (fast.num, fast.den) == (slow.num, slow.den)
+        if type(d) is int and type(z) is int:
+            assert type(fast.num) is int and type(fast.den) is int
+
+    def test_the_kernel_sees_only_ints(self, monkeypatch):
+        calls = []
+        real = redei_module._quadratic_power
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (redei_module, hyperbola_module, solver_module):
+            monkeypatch.setattr(module, "_quadratic_power", spy)
+        redei_pair_fast(Fraction(3, 2), Fraction(-5, 6), 12)
+        redei_pair_fast(7, Fraction(1, 4), 9)
+        redei_pair_fast(Fraction(8, 3), 2, 5)
+        redei_pair_fast(0, 1, 6)
+        redei_rational(13, Fraction(2, 3), -7)
+        LineGroup(5).pow(Fraction(1, 2), 6)
+        from_parameter(12, Fraction(5, 7)) ** -9
+        HyperbolaPoint(12, 2, Fraction(1, 2)) ** 4
+        HyperbolaPoint(2, 3, 2) ** 5
+        PellSolver(13).nth_solution(7)  # L = 5, odd: the fundamental squares the unit
+        next(PellSolver(7)._reports(3))
+        assert len(calls) == 12
+        assert all(type(arg) is int for args in calls for arg in args), calls
 
 
 def test_square_reuses_the_norm_test_squares():
