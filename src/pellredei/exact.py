@@ -258,7 +258,9 @@ def _solves_pell(x: int, y: int, d: int) -> bool:
     modulo every one of them means R = 0.  Nothing is probabilistic.
     x, y and d are folded once per pair, to 2**(2*s) - 1, and split
     into both residues (_split); the squares are of s-bit numbers, so
-    the test never squares the full-size x and y.
+    the test never squares the full-size x and y.  Testing R modulo
+    2**(2*s) - 1 itself would be as exact, but squares 2s-bit residues:
+    it measured 8-38% slower from 44k to 3.2M bits of x.
     """
     if x.bit_length() < _RESIDUE_BITS:
         return x * x - d * (y * y) == 1

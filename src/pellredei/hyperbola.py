@@ -80,7 +80,8 @@ class HyperbolaPoint(_Value):
         y's denominator w is a common denominator: w**2 * x**2 =
         w**2 + d*(w*y)**2 is an integer, so w*x is one too.  So X = w*x and
         Y = w*y are integers with X**2 - d*Y**2 = w**2, and the power is
-        one integer kernel call on (X, Y), divided by w**n.
+        one integer kernel call on (X, Y), divided by w**n.  Past w = 1
+        that norm is not one, so the kernel takes its general doubling.
         """
         w = self.y.denominator
         x, y = _quadratic_power(

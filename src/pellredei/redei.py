@@ -19,9 +19,10 @@ the ring of their inputs: integer d and z give integer pairs.
 When a + b*sqrt(d) has norm one, a**2 - d*b**2 = 1, so does each of its
 powers x + y*sqrt(d): the doubled x**2 + d*y**2 is 2*x**2 - 1, the
 Dickson step g_2(1, u) = u**2 - 2 on u = 2x, and y**2 is (x**2 - 1)/d.
-That holds on the hyperbola, for every Pell solution and every
-HyperbolaPoint power, and there a doubling costs two squares; any other
-input costs two squares and one product.
+That holds for every Pell solution and every power of an integer
+HyperbolaPoint, and there a doubling costs two squares; any other input
+costs two squares and one product, a rational point's too, since its
+cleared base has norm w**2 for its denominator w.
 
 Every power of a + b*sqrt(d) in the package is one call of that
 square-and-multiply loop, _quadratic_power, on integers; the fast Redei
@@ -129,26 +130,23 @@ def _quadratic_power(d: int, a: int, b: int, n: int) -> tuple[int, int]:
         (x, y) -> (2*xx - 1, (x + y)**2 - xx - (xx - 1)//d)
 
     two squares and an exact division by d, as y**2 = (xx - 1)/d and
-    2*x*y = (x + y)**2 - x**2 - y**2.  d = 0 with a = +-1 also has norm
-    one, and its doubling is 2*x**2 - 1 and 2*x*y.  Any other input
-    costs two squares and one product, with d*y**2 taken as d times the
-    square y**2.  The first doubling after the leading bit is of (a, b)
-    itself, so it takes a*a and b*b from the norm test: at n = 2 the
-    call makes three full-size products.
+    2*x*y = (x + y)**2 - x**2 - y**2.  Any other input, d = 0 with
+    a = +-1 too, costs two squares and one product, with d*y**2 taken as
+    d times the square y**2.  The first doubling after the leading bit
+    is of (a, b) itself, so it takes a*a and b*b from the norm test: at
+    n = 2 the call makes three full-size products.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     aa, bb = a * a, b * b
-    unit_norm = aa - d * bb == 1
+    unit_norm = d != 0 and aa - d * bb == 1
     x, y = 1, 0
     for level, bit in enumerate(bin(n)[2:]):
         if level == 1:
             x, y = aa + d * bb, 2 * x * y
-        elif unit_norm and d:
+        elif unit_norm:
             xx = x * x
             x, y = 2 * xx - 1, (x + y) ** 2 - xx - (xx - 1) // d
-        elif unit_norm:
-            x, y = 2 * (x * x) - 1, 2 * x * y
         else:
             x, y = x * x + d * (y * y), 2 * x * y
         if bit == "1":
