@@ -9,6 +9,14 @@ object per line, or the command's own text layout.  Exit codes: 0
 success, 2 usage error, 3 the radicand was a perfect square, 4 an
 internal cross-check failed.
 
+The record path is one cheap pass per record.  The records hold only
+dicts, lists, tuples, strs, numbers and INF, all built here, so _text
+dispatches on the exact type of each value, strs passing through as
+they are.  The JSON renderer encodes with one JSONEncoder, built on the
+first JSON render and shared after it.  verify reads the witness as
+plain (n, num, den, p, q) tuples and compares num*q with den*p itself,
+building no report.
+
 The argument parser is built once per process, on the first call to
 main, and reused by every later call: building it was most of a small
 call's fixed cost.  Importing the module builds nothing.  Each call is
@@ -153,18 +161,18 @@ def _cmd_verify(args: argparse.Namespace) -> Iterator[dict]:
         if is_perfect_square(d):
             continue
         solver = PellSolver(d)
-        for report in itertools.islice(solver._reports(), args.n_max):
-            if not report.equal:
+        for n, num, den, p, q in itertools.islice(solver._witness(), args.n_max):
+            if num * q != den * p:
                 raise ConsistencyError(
-                    f"Redei value != convergent at d={d}, n={report.n}: "
-                    f"{_brief(report.redei_value)} vs {_brief(report.convergent_value)}"
+                    f"Redei value != convergent at d={d}, n={n}: "
+                    f"{_brief(Fraction(num, den))} vs {_brief(Fraction(p, q))}"
                 )
         yield {
             "d": d,
             "params": {"n_max": args.n_max},
             "result": {
-                "period_length": report.period_length,
-                "parity": report.parity,
+                "period_length": solver.period_length,
+                "parity": solver.parity,
                 "checked": args.n_max,
                 "equal": "true",
             },
@@ -172,19 +180,32 @@ def _cmd_verify(args: argparse.Namespace) -> Iterator[dict]:
 
 
 def _text(value: object) -> object:
-    """A record value as output text, in either format: str() of each number, "INF" for INF."""
-    if isinstance(value, dict):
+    """A record value as output text, in either format: str() of each number, "INF" for INF.
+
+    Dispatches on the exact type: a record holds only the types below.
+    """
+    kind = type(value)
+    if kind is dict:
         return {key: _text(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
+    if kind is str:
+        return value
+    if kind is list or kind is tuple:
         return [_text(item) for item in value]
     return "INF" if value is INF else str(value)
 
 
-def _render_json(records: Iterable[dict]) -> None:
+@functools.cache
+def _json_encode() -> Callable[[object], str]:
+    """The compact JSON encoder, built on the first JSON render and shared after it."""
     import json  # only a JSON render pays for importing it
 
+    return json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _render_json(records: Iterable[dict]) -> None:
+    encode = _json_encode()
     for record in records:
-        print(json.dumps(record, separators=(",", ":")))
+        print(encode(record))
 
 
 def _render_assignments(records: Iterable[dict]) -> None:

@@ -9,11 +9,15 @@ the rest of the period is its mirror image.
 
 The convergent stream, nth_convergent and the solver's witness share one
 recurrence, _pairs, which walks the partial quotients one at a time on
-plain ints; nth_convergent builds a Convergent only for the index asked
-for, and the witness builds none.  The walk is quadratic in the size of
-its output and is kept as the plain witness and test oracle.  The solver
-reads only the period unit, convergent L - 1, off the expansion, by
-solver._period_unit; every other solution is its power.
+plain ints.  It can stride: _pairs(cf, first, step) yields only the
+pairs at indices first, first + step, ..., running the recurrence over
+the quotients in between in an inner loop, so nth_convergent builds a
+Convergent only for the index asked for, and the witness, which reads
+every stride-th pair, builds none and resumes no generator per skipped
+index.  The walk is quadratic in the size of its output and is kept as
+the plain witness and test oracle.  The solver reads only the period
+unit, convergent L - 1, off the expansion, by solver._period_unit; every
+other solution is its power.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ class SqrtExpansion(_Value):
 
     def partial_quotients(self) -> Iterator[int]:
         """a0 followed by the period repeated forever."""
-        yield self.a0
-        yield from itertools.cycle(self.period)
+        return itertools.chain((self.a0,), itertools.cycle(self.period))
 
 
 def sqrt_cf(d: int) -> SqrtExpansion:
@@ -104,17 +107,24 @@ class Convergent(_Value):
         return Fraction(self.p, self.q)
 
 
-def _pairs(cf: SqrtExpansion) -> Iterator[tuple[int, int]]:
-    """Unbounded stream of (p_k, q_k), k = 0, 1, 2, ..., on plain ints.
+def _pairs(cf: SqrtExpansion, first: int = 0, step: int = 1) -> Iterator[tuple[int, int]]:
+    """Unbounded stream of (p_k, q_k), k = first, first + step, ..., on plain ints.
 
     p_k = a_k*p_{k-1} + p_{k-2} and likewise for q, with the usual seeds.
+    Every quotient passes through the recurrence, but only the pairs at
+    the requested indices are yielded: the inner loop takes each run of
+    quotients by islice from one shared iterator.  first >= 0, step >= 1.
     """
     p, p_prev = 1, 0
     q, q_prev = 0, 1
-    for a in cf.partial_quotients():
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+    quotients = cf.partial_quotients()
+    run = first + 1
+    while True:
+        for a in itertools.islice(quotients, run):
+            p, p_prev = a * p + p_prev, p
+            q, q_prev = a * q + q_prev, q
         yield p, q
+        run = step
 
 
 def convergents(cf: SqrtExpansion) -> Iterator[Convergent]:
@@ -130,5 +140,5 @@ def nth_convergent(cf: SqrtExpansion, k: int) -> Convergent:
     """Convergent at index k (0-based)."""
     if k < 0:
         raise ValueError(f"convergent index must be nonnegative, got {k}")
-    p, q = next(itertools.islice(_pairs(cf), k, None))
+    p, q = next(_pairs(cf, k))
     return Convergent(k, p, q)

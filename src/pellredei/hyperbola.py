@@ -11,8 +11,10 @@ integer square-and-multiply kernel on the point with its common
 denominator w cleared, X + Y*sqrt(d) = w*(x + y*sqrt(d)), then divided
 by w**n, so exponentiation is logarithmic, and the curve is checked
 once, on the result.  A point with integer coordinates is checked by
-exact._solves_pell, the check every Pell solution passes; any other by
-the plain expression on Fractions.
+exact._solves_pell, the check every Pell solution passes; any other on
+integers, X**2 - d*Y**2 == w**2 with X = w*x and Y = w*y for w the
+denominator of y, which on the curve is the lcm of both denominators, so
+no Fraction arithmetic runs a gcd.
 
 The parametrization by slope connects this group to the projective-line
 group in projline: from_parameter/to_parameter are mutually inverse
@@ -50,7 +52,12 @@ class HyperbolaPoint(_Value):
         if x.denominator == 1 == y.denominator:
             on_curve = _solves_pell(abs(x.numerator), abs(y.numerator), d)
         else:
-            on_curve = x * x - d * (y * y) == 1
+            # On the curve x's denominator divides w (see __pow__), so w is
+            # the lcm of the two; a point where it does not is off the curve.
+            w = y.denominator
+            scale, rest = divmod(w, x.denominator)
+            wx, wy = x.numerator * scale, y.numerator
+            on_curve = rest == 0 and wx * wx - d * (wy * wy) == w * w
         if not on_curve:
             raise ValueError(f"({_brief(x)}, {_brief(y)}) is not on x^2 - {_brief(d)}y^2 = 1")
         self.__dict__.update(d=d, x=x, y=y)

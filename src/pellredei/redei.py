@@ -73,10 +73,16 @@ class RedeiPair(_Value):
 
     @property
     def ratio(self) -> Fraction | Infinity:
-        """num/den in lowest terms; INF when den = 0 (in particular n = 0)."""
+        """num/den in lowest terms; INF when den = 0 (in particular n = 0).
+
+        Fraction's division takes the gcds of the single-size halves,
+        numerator with numerator and denominator with denominator, where
+        Fraction(num, den) of two Fractions would reduce their double-size
+        cross products.
+        """
         if self.den == 0:
             return INF
-        return Fraction(self.num, self.den)
+        return Fraction(self.num) / self.den
 
 
 def redei_pair_linear(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:

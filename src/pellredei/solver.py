@@ -16,8 +16,11 @@ route: every strategy makes the same calls and raises the same errors.
 Neither the sequential convergent walk nor the linear fold's steps call
 the kernel: the walk is the independent witness, checked against the
 paper's Redei value, and the fold is what bench times the kernel against.
-The witness walks once per radicand: one convergent stream yields the
-report for n = 1, 2, ... as it passes each solution index.
+The witness walks once per radicand: one convergent stream, strided to
+the solution indices, yields the plain tuple (n, num, den, p, q) for
+n = 1, 2, ..., one kernel call each; correspondence_check builds a
+CorrespondenceReport from one tuple, and verify compares num*q with
+den*p itself and builds none.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built, by exact._solves_pell; a non-solution raises
 ConsistencyError (exit 4).  bench checks only the fold's last pair,
@@ -31,7 +34,6 @@ passes it.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Iterator, Sequence
 from enum import Enum
@@ -129,6 +131,11 @@ class PellSolver:
         return self.expansion.period_length
 
     @property
+    def parity(self) -> str:
+        """"even" or "odd", the parity of the period length."""
+        return "odd" if self.period_length % 2 else "even"
+
+    @property
     def fundamental_index(self) -> int:
         """Convergent index of the minimal solution."""
         return self.solution_index(1)
@@ -207,41 +214,39 @@ class PellSolver:
         cleared.  Both sides equal x_n/y_n, reduced; the report records
         the raw values so a mismatch is inspectable.  The convergent comes
         from the sequential walk, independent of every solution route.
-        n is checked by solution_index before any work; the report is the
-        first of _reports(n), so one call walks once to its index and makes
-        one kernel call, and verify, which reads every n in turn from
-        _reports(), walks once per radicand.
+        n is checked by solution_index before any work; the report is built
+        from the first tuple of _witness(n), so one call walks once to its
+        index and makes one kernel call.
         """
-        self.solution_index(n)
-        return next(self._reports(n))
+        index = self.solution_index(n)
+        n, num, den, p, q = next(self._witness(n))
+        return CorrespondenceReport(
+            d=self.d,
+            n=n,
+            period_length=self.period_length,
+            parity=self.parity,
+            convergent_index=index,
+            redei_num=num,
+            redei_den=den,
+            convergent_p=p,
+            convergent_q=q,
+            equal=num * q == den * p,
+        )
 
-    def _reports(self, first: int = 1) -> Iterator[CorrespondenceReport]:
-        """The correspondence reports for n = first, first + 1, ..., from one walk.
+    def _witness(self, first: int = 1) -> Iterator[tuple[int, int, int, int, int]]:
+        """(n, num, den, p, q) for n = first, first + 1, ..., from one walk.
 
-        Solution n is convergent n*stride - 1, stride = solution_index(1) + 1,
-        so one convergent stream is read at every stride-th index; the
-        pairs in between build no Convergent.  Each report makes one
-        kernel call for its Redei value.
+        num/den is the 2n-th Redei value at the slope, one kernel call per
+        n, and p/q is convergent n*stride - 1, stride = solution_index(1) + 1,
+        read off one convergent stream strided to those indices.  verify
+        reads every n in turn from _witness(), so it walks once per radicand.
         """
         base = self.fundamental  # checked, so y1 >= 1 and the slope is finite
-        length = self.period_length
-        parity = "even" if length % 2 == 0 else "odd"
         stride = self.solution_index(1) + 1
-        walk = itertools.islice(_pairs(self.expansion), first * stride - 1, None, stride)
+        walk = _pairs(self.expansion, first * stride - 1, stride)
         for n, (p, q) in enumerate(walk, first):
             num, den = _quadratic_power(self.d, 1 + base.x, base.y, 2 * n)
-            yield CorrespondenceReport(
-                d=self.d,
-                n=n,
-                period_length=length,
-                parity=parity,
-                convergent_index=n * stride - 1,
-                redei_num=num,
-                redei_den=den,
-                convergent_p=p,
-                convergent_q=q,
-                equal=num * q == den * p,
-            )
+            yield n, num, den, p, q
 
     def _checked(self, n: int, x: int, y: int, route: str) -> PellSolution:
         """(x, y) as the n-th solution: the one exact check of every route."""

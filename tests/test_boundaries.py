@@ -1,7 +1,6 @@
 """Checks at the package's edges: exact checks, error paths and exit codes."""
 
 import ast
-import itertools
 import math
 import operator
 from decimal import Decimal
@@ -565,9 +564,11 @@ class TestWitnessWalk:
     walk, and solve never calls it."""
 
     def test_wrong_walk_fails_verify(self, monkeypatch, capsys):
-        # The stream starts at convergent 1, so every index reads its successor.
+        # Every index the stream is asked for reads its successor.
         real = solver._pairs
-        monkeypatch.setattr(solver, "_pairs", lambda expansion: itertools.islice(real(expansion), 1, None))
+        monkeypatch.setattr(
+            solver, "_pairs", lambda expansion, first=0, step=1: real(expansion, first + 1, step)
+        )
         code = main(["verify", "--d-max", "13", "--n-max", "2"])
         captured = capsys.readouterr()
         assert code == 4
@@ -575,32 +576,31 @@ class TestWitnessWalk:
 
     def test_verify_walks_once_per_radicand(self, monkeypatch):
         real = solver._pairs
-        draws = {}  # d -> the pairs drawn from each stream opened for it
+        read = {}  # d -> the convergent indices read from each stream opened for it
 
-        def counted(expansion):
-            opened = draws.setdefault(expansion.d, [])
-            opened.append(0)
-            slot = len(opened) - 1
+        def counted(expansion, first=0, step=1):
+            indices = []
+            read.setdefault(expansion.d, []).append(indices)
 
             def stream():
-                for pair in real(expansion):
-                    opened[slot] += 1
+                for k, pair in enumerate(real(expansion, first, step)):
+                    indices.append(first + k * step)
                     yield pair
 
             return stream()
 
         monkeypatch.setattr(solver, "_pairs", counted)
         assert main(["verify", "--d-max", "60", "--n-max", "4"]) == 0
-        assert sorted(draws) == [d for d in range(2, 61) if math.isqrt(d) ** 2 != d]
-        for d, opened in draws.items():
+        assert sorted(read) == [d for d in range(2, 61) if math.isqrt(d) ** 2 != d]
+        for d, opened in read.items():
             assert len(opened) == 1, f"d={d} opened {len(opened)} streams"
-            assert opened[0] <= PellSolver(d).solution_index(4) + 1
+            assert opened[0] == [PellSolver(d).solution_index(n) for n in range(1, 5)]
 
     def test_solve_does_not_walk(self, monkeypatch, capsys):
         assert main(["solve", "--d", "61", "--n", "50", "--strategy", "redei"]) == 0
         expected = capsys.readouterr()
 
-        def no_walk(expansion):
+        def no_walk(expansion, first=0, step=1):
             raise AssertionError("solve walked the convergents")
 
         monkeypatch.setattr(solver, "_pairs", no_walk)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pellredei
-from pellredei import CorrespondenceReport, PellSolver, Strategy, cli
+from pellredei import PellSolver, Strategy, cli
 from pellredei import solver as solver_module
 from pellredei.cli import _build_parser, _median_time_ns, _parse, _rational, main
 
@@ -283,16 +283,17 @@ class TestVerify:
         assert code == 0
         if fmt == "text":
             before = before.replace("checked 4 radicands, all consistent\n", "")
-        real = PellSolver._reports
+        real = PellSolver._witness
 
         def wrong_at_7(self):
-            for report in real(self):
-                yield report if self.d != 7 else CorrespondenceReport(**{**vars(report), "equal": False})
+            # At d = 7 the Redei value 8/3 is read as 11/3.
+            for n, num, den, p, q in real(self):
+                yield n, num + den if self.d == 7 else num, den, p, q
 
-        monkeypatch.setattr(PellSolver, "_reports", wrong_at_7)
+        monkeypatch.setattr(PellSolver, "_witness", wrong_at_7)
         code, out, err = run(capsys, "verify", "--d-max", "20", "--n-max", "2", "--format", fmt)
         assert code == 4
-        assert "Redei value != convergent at d=7, n=1" in err
+        assert err == "error: Redei value != convergent at d=7, n=1: 11/3 vs 8/3\n"
         assert out == before
         assert len(out.splitlines()) == 4
 

@@ -2,9 +2,12 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_is_square, fold_quotients, surd_quotients
 from pellredei import PerfectSquareError, convergents, nth_convergent, sqrt_cf
+from pellredei.contfrac import _pairs
 
 
 class TestSqrtCf:
@@ -97,6 +100,17 @@ class TestConvergents:
             limit = 3 * cf.period_length + 3
             for k, conv in enumerate(itertools.islice(convergents(cf), limit)):
                 assert nth_convergent(cf, k) == conv
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        d=st.integers(2, 2000).filter(lambda d: math.isqrt(d) ** 2 != d),
+        first=st.integers(0, 40),
+        step=st.integers(1, 12),
+    )
+    def test_strided_walk_matches_the_sliced_stream(self, d, first, step):
+        cf = sqrt_cf(d)
+        strided = list(itertools.islice(_pairs(cf, first, step), 6))
+        assert strided == list(itertools.islice(_pairs(cf), first, first + 6 * step, step))
 
     def test_value_equals_folded_finite_continued_fraction(self):
         for d in range(2, 51):

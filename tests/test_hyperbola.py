@@ -34,6 +34,39 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HyperbolaPoint(2, 0, 0)
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            HyperbolaPoint(12, 2, Fraction(1, 2)),  # x and y have different denominators
+            from_parameter(12, Fraction(5, 7)) ** 3,
+            from_parameter(18, Fraction(1, 3)) ** 2,
+            from_parameter(61, Fraction(7, 10)) ** 5,
+            from_parameter(5, Fraction(355, 113)) ** -2,
+        ],
+    )
+    def test_rational_neighbours_rejected(self, point):
+        # +-1 on each numerator and each denominator; the Fraction expression decides.
+        parts = [point.x.numerator, point.x.denominator, point.y.numerator, point.y.denominator]
+        tried = 0
+        for i in range(4):
+            for delta in (1, -1):
+                moved = parts.copy()
+                moved[i] += delta
+                if moved[1] == 0 or moved[3] == 0:
+                    continue
+                x, y = Fraction(moved[0], moved[1]), Fraction(moved[2], moved[3])
+                assert x * x - point.d * (y * y) != 1
+                with pytest.raises(ValueError, match="is not on"):
+                    HyperbolaPoint(point.d, x, y)
+                tried += 1
+        assert tried >= 7
+
+    def test_x_denominator_must_divide_y_denominator(self):
+        # (7/3)^2 - 33*(1/4)^2 != 1, but 7^2 - 33*1^2 = 4^2: clearing x by
+        # 4 // 3 = 1 would put it on the curve.
+        with pytest.raises(ValueError, match="is not on"):
+            HyperbolaPoint(33, Fraction(7, 3), Fraction(1, 4))
+
     def test_negative_norm_curve_rejected(self):
         # Solutions of x^2 - d*y^2 = -1 are not points of this curve.
         with pytest.raises(ValueError):

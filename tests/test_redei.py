@@ -28,6 +28,7 @@ from pellredei import (
 from pellredei import hyperbola as hyperbola_module
 from pellredei import redei as redei_module
 from pellredei import solver as solver_module
+from pellredei.redei import RedeiPair
 from pellredei.redei import _quadratic_power
 from pellredei.solver import _period_unit
 
@@ -254,7 +255,7 @@ class TestClearedRoute:
         HyperbolaPoint(12, 2, Fraction(1, 2)) ** 4
         HyperbolaPoint(2, 3, 2) ** 5
         PellSolver(13).nth_solution(7)  # L = 5, odd: the fundamental squares the unit
-        next(PellSolver(7)._reports(3))
+        next(PellSolver(7)._witness(3))
         assert len(calls) == 12
         assert all(type(arg) is int for args in calls for arg in args), calls
 
@@ -293,6 +294,28 @@ def test_square_reuses_the_norm_test_squares():
         products.clear()
         assert _quadratic_power(d, Big(p), Big(q), 2) == (solver.fundamental.x, solver.fundamental.y)
         assert len(products) == 3
+
+
+class TestRatio:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        num=st.integers(-(10**40), 10**40) | st.fractions(),
+        den=st.integers(-(10**40), 10**40) | st.fractions(),
+    )
+    @example(num=6, den=-4)
+    @example(num=Fraction(-9, 10), den=6)
+    @example(num=15, den=Fraction(-10, 21))
+    @example(num=Fraction(4, 9), den=Fraction(-2, 3))
+    @example(num=5, den=0)
+    @example(num=Fraction(1, 3), den=Fraction(0))
+    def test_ratio_is_num_over_den_in_lowest_terms(self, num, den):
+        ratio = RedeiPair(2, 1, 1, num, den).ratio
+        if den == 0:
+            assert ratio is INF
+        else:
+            expected = Fraction(num, den)
+            assert type(ratio) is Fraction
+            assert (ratio.numerator, ratio.denominator) == (expected.numerator, expected.denominator)
 
 
 class TestRationalFunction:

@@ -337,9 +337,15 @@ class TestCorrespondence:
             if brute_is_square(d):
                 continue
             solver = PellSolver(d)
-            streamed = list(itertools.islice(solver._reports(), 10))
-            for n, report in enumerate(streamed, 1):
-                assert vars(report) == vars(correspondence_check(d, n))
+            streamed = list(itertools.islice(solver._witness(), 10))
+            for n, witness in enumerate(streamed, 1):
+                report = correspondence_check(d, n)
+                assert witness == (
+                    report.n, report.redei_num, report.redei_den,
+                    report.convergent_p, report.convergent_q,
+                )
+                assert (report.period_length, report.parity) == (solver.period_length, solver.parity)
+                assert report.equal
                 conv = nth_convergent(solver.expansion, solver.solution_index(n))
                 assert (report.n, report.convergent_index) == (n, conv.k)
                 assert (report.convergent_p, report.convergent_q) == (conv.p, conv.q)
