@@ -16,15 +16,16 @@ slot takes operator.index of its value instead, so an integer-like value
 (one with __index__) is stored as a plain int and none of its own
 arithmetic, such as a fixed-width product that wraps, reaches a check.
 
-_solves_pell is the one exact Pell check, x**2 - d*y**2 == 1, that every
-PellSolution and every integer HyperbolaPoint passes.  Below 2**15 bits
-of x it is the plain expression.  Above, it tests R = x**2 - d*y**2 - 1
+_solves_pell is the one exact check of the Pell curve, x**2 - d*y**2 ==
+w**2: every PellSolution passes it with w = 1, and every HyperbolaPoint
+on its coordinates cleared by w, the denominator of y.  Below 2**15 bits
+of x it is the plain expression.  Above, it tests R = x**2 - d*y**2 - w**2
 modulo the pair 2**s - 1 and 2**s + 1 for a run of primes s whose sum of
 2*s - 3 exceeds the bits of |R|: these moduli are pairwise coprime but
 for a common factor 3 among the 2**s + 1, so their lcm exceeds |R|, R
 vanishes modulo all of them only if R = 0, and the test stays exact.
-One fold of x, and one of y, to 2**(2*s) - 1 serves both moduli of a
-pair, since 2**(2*s) - 1 = (2**s - 1)*(2**s + 1).  A fold is a few
+One fold of each of x, y, d and w to 2**(2*s) - 1 serves both moduli of
+a pair, since 2**(2*s) - 1 = (2**s - 1)*(2**s + 1).  A fold is a few
 linear passes of shifts, masks and adds (_mod_mersenne), so the test
 squares s-bit residues, never the full-size x and y.  Best of 5 on a
 2-vCPU VM under CPython 3.11, plain expression against this check:
@@ -241,14 +242,14 @@ def _mod_fermat(v: int, s: int) -> int:
     return _split(_mod_mersenne(v, 2 * s), s)[1]
 
 
-def _solves_pell(x: int, y: int, d: int) -> bool:
-    """x**2 - d*y**2 == 1, decided exactly, for ints x, y, d >= 0.
+def _solves_pell(x: int, y: int, d: int, w: int = 1) -> bool:
+    """x**2 - d*y**2 == w**2, decided exactly, for ints x, y, d, w >= 0.
 
     Below _RESIDUE_BITS bits of x this is the plain expression.  Above,
-    R = x**2 - d*y**2 - 1 is tested modulo 2**s - 1 and 2**s + 1 for a
+    R = x**2 - d*y**2 - w**2 is tested modulo 2**s - 1 and 2**s + 1 for a
     run of primes s > 3 with sum(2*s - 3) > B = max(2*bits(x),
-    bits(d) + 2*bits(y)) + 1.  The argument: |R| < 2**B, and for
-    distinct odd primes a, b,
+    bits(d) + 2*bits(y), 2*bits(w)) + 1.  The argument: |R| <= max(x**2,
+    d*y**2 + w**2) < 2**B, and for distinct odd primes a, b,
       - gcd(2**a - 1, 2**b - 1) = 2**gcd(a, b) - 1 = 1,
       - gcd(2**a - 1, 2**b + 1) = 1 and gcd(2**a - 1, 2**a + 1) = 1,
       - gcd(2**a + 1, 2**b + 1) = 2**gcd(a, b) + 1 = 3, and for s > 3
@@ -256,20 +257,21 @@ def _solves_pell(x: int, y: int, d: int) -> bool:
     So the lcm of the moduli is 3 times the product of the 2**s - 1 and
     the (2**s + 1)/3, at least 2**sum(2*s - 3) > 2**B > |R|, and R = 0
     modulo every one of them means R = 0.  Nothing is probabilistic.
-    x, y and d are folded once per pair, to 2**(2*s) - 1, and split
+    x, y, d and w are folded once per pair, to 2**(2*s) - 1, and split
     into both residues (_split); the squares are of s-bit numbers, so
-    the test never squares the full-size x and y.  Testing R modulo
+    the test never squares the full-size x, y and w.  Testing R modulo
     2**(2*s) - 1 itself would be as exact, but squares 2s-bit residues:
     it measured 8-38% slower from 44k to 3.2M bits of x.
     """
     if x.bit_length() < _RESIDUE_BITS:
-        return x * x - d * (y * y) == 1
-    bound = max(2 * x.bit_length(), d.bit_length() + 2 * y.bit_length()) + 1
+        return x * x - d * (y * y) == w * w
+    bound = max(2 * x.bit_length(), d.bit_length() + 2 * y.bit_length(), 2 * w.bit_length()) + 1
     for s in _moduli(bound):
-        (xm, xp), (ym, yp), (dm, dp) = (_split(_mod_mersenne(v, 2 * s), s) for v in (x, y, d))
-        if _mod_mersenne(xm * xm, s) != _mod_mersenne(dm * _mod_mersenne(ym * ym, s) + 1, s):
+        folds = (_split(_mod_mersenne(v, 2 * s), s) for v in (x, y, d, w))
+        (xm, xp), (ym, yp), (dm, dp), (wm, wp) = folds
+        if _mod_mersenne(xm * xm, s) != _mod_mersenne(dm * _mod_mersenne(ym * ym, s) + wm * wm, s):
             return False
-        if _mod_fermat(xp * xp, s) != _mod_fermat(dp * _mod_fermat(yp * yp, s) + 1, s):
+        if _mod_fermat(xp * xp, s) != _mod_fermat(dp * _mod_fermat(yp * yp, s) + wp * wp, s):
             return False
     return True
 

@@ -10,11 +10,11 @@ inherited.  A point's n-th power is (x + y*sqrt(d))**n, one call of the
 integer square-and-multiply kernel on the point with its common
 denominator w cleared, X + Y*sqrt(d) = w*(x + y*sqrt(d)), then divided
 by w**n, so exponentiation is logarithmic, and the curve is checked
-once, on the result.  A point with integer coordinates is checked by
-exact._solves_pell, the check every Pell solution passes; any other on
-integers, X**2 - d*Y**2 == w**2 with X = w*x and Y = w*y for w the
-denominator of y, which on the curve is the lcm of both denominators, so
-no Fraction arithmetic runs a gcd.
+once, on the result.  Every point is checked by exact._solves_pell, the
+check every Pell solution passes, on integers: X**2 - d*Y**2 == w**2
+with X = w*x and Y = w*y for w the denominator of y, which on the curve
+is the lcm of both denominators, so no Fraction arithmetic runs a gcd.
+An integer point has w = 1.
 
 The parametrization by slope connects this group to the projective-line
 group in projline: from_parameter/to_parameter are mutually inverse
@@ -49,16 +49,11 @@ class HyperbolaPoint(_Value):
     def __init__(self, d: int, x: int | Fraction, y: int | Fraction) -> None:
         d = require_nonsquare(d)
         x, y = Fraction(_exact(x)), Fraction(_exact(y))
-        if x.denominator == 1 == y.denominator:
-            on_curve = _solves_pell(abs(x.numerator), abs(y.numerator), d)
-        else:
-            # On the curve x's denominator divides w (see __pow__), so w is
-            # the lcm of the two; a point where it does not is off the curve.
-            w = y.denominator
-            scale, rest = divmod(w, x.denominator)
-            wx, wy = x.numerator * scale, y.numerator
-            on_curve = rest == 0 and wx * wx - d * (wy * wy) == w * w
-        if not on_curve:
+        # On the curve x's denominator divides w, y's (see __pow__), so w is
+        # the lcm of the two; a point where it does not is off the curve.
+        w = y.denominator
+        scale, rest = divmod(w, x.denominator)
+        if rest or not _solves_pell(abs(x.numerator) * scale, abs(y.numerator), d, w):
             raise ValueError(f"({_brief(x)}, {_brief(y)}) is not on x^2 - {_brief(d)}y^2 = 1")
         self.__dict__.update(d=d, x=x, y=y)
 
@@ -88,7 +83,7 @@ class HyperbolaPoint(_Value):
         w**2 + d*(w*y)**2 is an integer, so w*x is one too.  So X = w*x and
         Y = w*y are integers with X**2 - d*Y**2 = w**2, and the power is
         one integer kernel call on (X, Y), divided by w**n.  Past w = 1
-        that norm is not one, so the kernel takes its general doubling.
+        that norm is not one, so each kernel doubling takes three squares.
         """
         w = self.y.denominator
         x, y = _quadratic_power(

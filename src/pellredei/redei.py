@@ -16,13 +16,15 @@ evaluation.  The index-addition rules
 give a logarithmic-time one by binary doubling.  Both kernels compute in
 the ring of their inputs: integer d and z give integer pairs.
 
-When a + b*sqrt(d) has norm one, a**2 - d*b**2 = 1, so does each of its
-powers x + y*sqrt(d): the doubled x**2 + d*y**2 is 2*x**2 - 1, the
-Dickson step g_2(1, u) = u**2 - 2 on u = 2x, and y**2 is (x**2 - 1)/d.
-That holds for every Pell solution and every power of an integer
-HyperbolaPoint, and there a doubling costs two squares; any other input
-costs two squares and one product, a rational point's too, since its
-cleared base has norm w**2 for its denominator w.
+Every doubling is (x, y) -> (x**2 + d*y**2, (x + y)**2 - x**2 - y**2),
+three squares, since 2*x*y = (x + y)**2 - x**2 - y**2.  When a + b*sqrt(d)
+has norm one, a**2 - d*b**2 = 1, so does each of its powers
+x + y*sqrt(d), and y**2 is (x**2 - 1)/d, an exact division: the doubled
+x**2 + d*y**2 is 2*x**2 - 1, the Dickson step g_2(1, u) = u**2 - 2 on
+u = 2x, and a doubling costs two squares.  That holds for every Pell
+solution and every power of an integer HyperbolaPoint; any other input
+costs three squares, a rational point's too, since its cleared base has
+norm w**2 for its denominator w.
 
 Every power of a + b*sqrt(d) in the package is one call of that
 square-and-multiply loop, _quadratic_power, on integers; the fast Redei
@@ -35,7 +37,7 @@ Fraction, through exact._exact, and the index n as an integer, through
 operator.index, and a RedeiPair checks its fields the same way: a float,
 a str or a Decimal raises TypeError before any arithmetic.
 _quadratic_power itself checks nothing; it takes ints only, since its
-norm-one doubling divides exactly by d with //, which would floor a
+norm-one squares divide exactly by d with //, which would floor a
 Fraction.
 """
 
@@ -122,40 +124,41 @@ def redei_pair_fast(d: int | Fraction, z: int | Fraction, n: int) -> RedeiPair:
 def _quadratic_power(d: int, a: int, b: int, n: int) -> tuple[int, int]:
     """(x, y) with x + y*sqrt(d) = (a + b*sqrt(d))**n, for ints d, a, b and n >= 0.
 
-    Scans the bits of n from the most significant end, using
+    Scans the bits of n after the leading one, from (x, y) = (a, b), using
 
-        doubling:   (x, y) -> (x**2 + d*y**2, 2*x*y)
+        doubling:   (x, y) -> (xx + d*yy, (x + y)**2 - xx - yy)
         step by 1:  (x, y) -> (a*x + d*b*y, b*x + a*y)
 
-    so only two values are carried per level, never a full matrix, and
-    every product stays in Z, with no gcd reduction.
+    with xx = x**2 and yy = y**2, so a doubling's only products of two
+    full-size numbers are squares, only two values are carried per level,
+    never a full matrix, and every product stays in Z, with no gcd
+    reduction.
 
-    When a**2 - d*b**2 = 1 and d != 0, the norm x**2 - d*y**2 stays 1 at
-    every level, so with xx = x**2 the doubling is
-
-        (x, y) -> (2*xx - 1, (x + y)**2 - xx - (xx - 1)//d)
-
-    two squares and an exact division by d, as y**2 = (xx - 1)/d and
-    2*x*y = (x + y)**2 - x**2 - y**2.  Any other input, d = 0 with
-    a = +-1 too, costs two squares and one product, with d*y**2 taken as
-    d times the square y**2.  The first doubling after the leading bit
-    is of (a, b) itself, so it takes a*a and b*b from the norm test: at
-    n = 2 the call makes three full-size products.
+    The base's norm N decides only where yy comes from: (xx - 1)//d when
+    N = a**2 - d*b**2 = 1 and d != 0, since every power then has norm
+    one, and y*y otherwise.  N is tested on squares the loop makes
+    anyway: while yy is y*y, at each power of odd exponent m, whose norm
+    N**m is 1 exactly when N is; an even power of a base of norm -1 has
+    norm one too, so even exponents are not tested.  The first such
+    power is (a, b) itself, so its a*a and b*b serve both the test and
+    the first doubling: at n = 2 the call makes three full-size squares.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    aa, bb = a * a, b * b
-    unit_norm = d != 0 and aa - d * bb == 1
-    x, y = 1, 0
-    for level, bit in enumerate(bin(n)[2:]):
-        if level == 1:
-            x, y = aa + d * bb, 2 * x * y
-        elif unit_norm:
-            xx = x * x
-            x, y = 2 * xx - 1, (x + y) ** 2 - xx - (xx - 1) // d
+    if n == 0:
+        return 1, 0
+    x, y = a, b
+    unit_norm, odd = False, True
+    for bit in bin(n)[3:]:
+        xx = x * x
+        if unit_norm:
+            yy = (xx - 1) // d
         else:
-            x, y = x * x + d * (y * y), 2 * x * y
-        if bit == "1":
+            yy = y * y
+            unit_norm = odd and xx - d * yy == 1 and d != 0
+        x, y = xx + d * yy, (x + y) ** 2 - xx - yy
+        odd = bit == "1"
+        if odd:
             x, y = a * x + d * b * y, b * x + a * y
     return x, y
 

@@ -97,7 +97,7 @@ def pell_by_slope_redei(d: int, x1: int, y1: int, n: int) -> tuple[int, int]:
     x1 + y1*sqrt(d) at that slope, so the reduced ratio of index 2n is
     x_n/y_n.  It runs the pair kernel on rationals, at another base and
     index than the solver's integer route, so the two agree only if the
-    kernel's general doubling and its norm-one doubling both hold.
+    kernel's doubling holds with y**2 as a square and as (x**2 - 1)/d.
     """
     value = redei_pair_fast(d, Fraction(x1 + 1, y1), 2 * n).ratio
     return value.numerator, value.denominator

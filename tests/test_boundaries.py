@@ -373,14 +373,27 @@ class TestCheckAtScale:
         with pytest.raises(ValueError, match="is not on"):
             HyperbolaPoint(61, solution.x + dx, solution.y + dy)
 
-    def test_integer_point_takes_the_one_check(self, solution, monkeypatch):
+    @pytest.fixture(scope="class")
+    def rational(self):
+        """A rational point past the threshold and one below it, by
+        (X, Y, w) with x = X/w and y = Y/w."""
+        big, small = from_parameter(61, Fraction(7, 10)) ** 3000, from_parameter(61, Fraction(7, 10)) ** 5
+        cleared = []
+        for point in (small, big):
+            w = point.y.denominator
+            cleared.append((point.x.numerator * (w // point.x.denominator), point.y.numerator, w))
+        assert cleared[0][0].bit_length() < exact._RESIDUE_BITS <= cleared[1][0].bit_length()
+        return cleared
+
+    def test_integer_point_takes_the_one_check(self, solution, rational, monkeypatch):
         # point() re-checks a solution through _solves_pell, not on Fractions,
-        # and a sign on either coordinate keeps the point on the curve.
+        # and a sign on either coordinate keeps the point on the curve.  A
+        # rational point takes the same check, on its cleared integers and w.
         calls = []
 
-        def spy(x, y, d):
-            calls.append((x, y, d))
-            return exact._solves_pell(x, y, d)
+        def spy(x, y, d, w):
+            calls.append((x, y, d, w))
+            return exact._solves_pell(x, y, d, w)
 
         monkeypatch.setattr(hyperbola, "_solves_pell", spy)
         x, y = solution.x, solution.y
@@ -389,7 +402,22 @@ class TestCheckAtScale:
             assert HyperbolaPoint(61, sx * x, sy * y).x == sx * x
             with pytest.raises(ValueError, match="is not on"):
                 HyperbolaPoint(61, sx * (x - 1), sy * y)
-        assert calls == [(x, y, 61)] * 2 + [(x, y, 61), (x - 1, y, 61)] * 3
+        assert calls == [(x, y, 61, 1)] * 2 + [(x, y, 61, 1), (x - 1, y, 61, 1)] * 3
+        calls.clear()
+        big_x, big_y, w = rational[1]
+        assert HyperbolaPoint(61, Fraction(big_x, w), Fraction(big_y, w)).y.denominator == w
+        assert calls == [(abs(big_x), abs(big_y), 61, w)]
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("dx, dy, dw", [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    def test_rational_point_rejects_neighbours(self, rational, side, dx, dy, dw):
+        # The check itself refuses each neighbour; the point may refuse it
+        # earlier, when a reduced x's denominator does not divide y's.
+        x, y, w = rational[side == "above"]
+        assert HyperbolaPoint(61, Fraction(x, w), Fraction(y, w))
+        assert not exact._solves_pell(abs(x + dx), abs(y + dy), 61, w + dw)
+        with pytest.raises(ValueError, match="is not on"):
+            HyperbolaPoint(61, Fraction(x + dx, w + dw), Fraction(y + dy, w + dw))
 
 
 class TestWrongKernel:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_is_square, brute_isqrt, random_fraction, random_nonsquare
@@ -16,6 +16,7 @@ from pellredei import (
     PerfectSquareError,
     QuadraticElement,
     decimal_digits,
+    from_parameter,
     is_perfect_square,
     isqrt,
     exact,
@@ -247,8 +248,8 @@ class TestQuadraticElement:
         assert repr(QuadraticElement(1, 1, 2)) == "(1 + 1*sqrt(2))"
 
 
-def _plain(x, y, d):
-    return x * x - d * (y * y) == 1
+def _plain(x, y, d, w=1):
+    return x * x - d * (y * y) == w * w
 
 
 def _product(factors):
@@ -311,7 +312,7 @@ class TestModFermat:
 
 
 class TestSolvesPellAgrees:
-    """The check agrees with the plain expression on any (x, y, d) >= 0.
+    """The check agrees with the plain expression on any (x, y, d, w) >= 0.
 
     The threshold is patched to 0, so every draw takes the residue path,
     and the ladder starts at 5, so small draws already need runs of
@@ -344,6 +345,45 @@ class TestSolvesPellAgrees:
             mp.setattr(exact, "_LADDER_START", 5)
             assert exact._solves_pell(x, y, d) == _plain(x, y, d)
             assert exact._solves_pell(solution.x, solution.y, d)
+
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        x=st.integers(0, 2**3000),
+        y=st.integers(0, 2**3000),
+        d=st.integers(0, 2**200) | st.integers(0, 20),
+        w=st.integers(0, 2**3000) | st.integers(0, 20),
+    )
+    # 1023 = (2**5 - 1)*(2**5 + 1), the pair of the first prime: a bound
+    # blind to w would test R = -w**2 modulo those two alone.
+    @example(x=0, y=0, d=0, w=1023)
+    def test_random_quadruples(self, x, y, d, w):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_RESIDUE_BITS", 0)
+            mp.setattr(exact, "_LADDER_START", 5)
+            assert exact._solves_pell(x, y, d, w) == _plain(x, y, d, w)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        d=st.integers(2, 10**4).filter(lambda d: not brute_is_square(d)),
+        m=st.fractions(max_denominator=10**6),
+        k=st.integers(1, 30),
+        dx=st.integers(-2, 2),
+        dy=st.integers(-2, 2),
+        dw=st.integers(-2, 2),
+    )
+    def test_rational_points_and_their_neighbours(self, d, m, k, dx, dy, dw):
+        """A rational point's cleared coordinates X, Y and denominator w pass;
+        their neighbours agree with the plain expression."""
+        point = from_parameter(d, m) ** k
+        w = point.y.denominator
+        x, y = abs(point.x.numerator) * (w // point.x.denominator), abs(point.y.numerator)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_RESIDUE_BITS", 0)
+            mp.setattr(exact, "_LADDER_START", 5)
+            assert exact._solves_pell(x, y, d, w)
+            x, y, w = max(0, x + dx), max(0, y + dy), max(0, w + dw)
+            assert exact._solves_pell(x, y, d, w) == _plain(x, y, d, w)
 
 
 class TestSolvesPellAtThreshold:

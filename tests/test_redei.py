@@ -157,8 +157,8 @@ class TestPairValues:
 
 
 # (d, z) with z**2 - d = 1: x1 + sqrt(x1**2 - 1) for Pell solutions x1,
-# where the kernel takes the unit-norm doubling, and rational ones, whose
-# cleared integer base has norm (v*q)**2 and takes the general doubling.
+# where the kernel takes y**2 = (x**2 - 1)/d, and rational ones, whose
+# cleared integer base has norm (v*q)**2 and takes y**2 as a square.
 UNIT_NORM_INPUTS = [
     (x1 * x1 - 1, x1) for x1 in (2, 3, 9, 649, 1766319049)
 ] + [
@@ -167,7 +167,7 @@ UNIT_NORM_INPUTS = [
     (Fraction(7 * 4**2, 27**2), Fraction(-29, 27)),
 ]
 
-# (d, z) with z**2 - d in {-1, 0, 2}, which take the general doubling; the
+# (d, z) with z**2 - d in {-1, 0, 2}, which take y**2 as a square; the
 # last is the verify witness's base 1 + x1 + y1*sqrt(d) at d = 61, written
 # as z = 1 + x1 over d*y1**2, where z**2 - d = 2 + 2*x1.
 GENERAL_INPUTS = [
@@ -260,40 +260,120 @@ class TestClearedRoute:
         assert all(type(arg) is int for args in calls for arg in args), calls
 
 
+class Big(int):
+    """An int that stays one under +, -, // and **, and logs in Big.log each
+    operation on full-size operands: "square" for x*x and x**2, "product" for
+    a product of two distinct operands over 32 bits."""
+
+    log = []
+
+    def __mul__(self, other):
+        if min(self.bit_length(), int(other).bit_length()) > 32:
+            Big.log.append("square" if other is self else "product")
+        return Big(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        assert exponent == 2
+        if self.bit_length() > 32:
+            Big.log.append("square")
+        return Big(int(self) ** 2)
+
+    def __add__(self, other):
+        return Big(int(self) + int(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Big(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return Big(int(other) - int(self))
+
+    def __floordiv__(self, other):
+        return Big(int(self) // int(other))
+
+
 def test_square_reuses_the_norm_test_squares():
     """The odd-L fundamental is the period unit's square: a*a and b*b of the
-    norm test serve its one doubling, so it takes three full-size products."""
-    products = []
-
-    class Big(int):
-        """An int that stays one under + and - and logs its products of two operands
-        over 32 bits."""
-
-        def __mul__(self, other):
-            if min(self.bit_length(), int(other).bit_length()) > 32:
-                products.append(1)
-            return Big(int(self) * int(other))
-
-        __rmul__ = __mul__
-
-        def __add__(self, other):
-            return Big(int(self) + int(other))
-
-        __radd__ = __add__
-
-        def __sub__(self, other):
-            return Big(int(self) - int(other))
-
-        def __rsub__(self, other):
-            return Big(int(other) - int(self))
-
+    norm test serve its one doubling, so it takes three full-size operations."""
     for d in (421, 10000141):  # L = 37 and 4769
         solver = PellSolver(d)
         p, q = _period_unit(solver.expansion)
         assert p * p - d * (q * q) == -1
-        products.clear()
+        Big.log.clear()
         assert _quadratic_power(d, Big(p), Big(q), 2) == (solver.fundamental.x, solver.fundamental.y)
-        assert len(products) == 3
+        assert len(Big.log) == 3
+
+
+class TestKernel:
+    @staticmethod
+    def _stepped(d, a, b, n):
+        x, y = 1, 0
+        for _ in range(n):
+            x, y = a * x + d * b * y, b * x + a * y
+        return x, y
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(
+        d=st.integers(-50, 2000),
+        a=st.integers(-(10**12), 10**12),
+        b=st.integers(-(10**12), 10**12),
+        n=st.integers(0, 70),
+    )
+    @example(d=0, a=1, b=5, n=9)
+    @example(d=0, a=-1, b=3, n=8)
+    @example(d=-1, a=0, b=1, n=7)
+    @example(d=-7, a=-1, b=0, n=5)
+    @example(d=2, a=3, b=2, n=0)
+    def test_equals_repeated_steps(self, d, a, b, n):
+        assert _quadratic_power(d, a, b, n) == self._stepped(d, a, b, n)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        a=st.integers(-44, 44),
+        b=st.sampled_from([1, -1]),
+        norm=st.sampled_from([1, -1]),
+        k=st.integers(1, 4),
+        n=st.integers(0, 70),
+    )
+    def test_norm_one_bases_equal_repeated_steps(self, a, b, norm, k, n):
+        """(a, b) has norm a**2 - d = +-1 for d = a**2 -+ 1; its k-th power,
+        of norm +-1 too, is the base."""
+        d = a * a - norm
+        x, y = self._stepped(d, a, b, k)
+        assert x * x - d * y * y == norm**k
+        assert _quadratic_power(d, x, y, n) == self._stepped(d, x, y, n)
+
+    @pytest.mark.parametrize("d", [2, 13, 61, 94, 151, 397])
+    def test_pell_units_equal_repeated_steps(self, d):
+        solver = PellSolver(d)
+        bases = [(solver.fundamental.x, solver.fundamental.y), _period_unit(solver.expansion)]
+        for (a, b), sa, sb in itertools.product(bases, (1, -1), (1, -1)):
+            for n in range(40):
+                assert _quadratic_power(d, sa * a, sb * b, n) == self._stepped(d, sa * a, sb * b, n)
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_doublings_are_squares(self, k):
+        """At n = 2**k every full-size operation is a square: three per
+        doubling on a base whose norm is not one, and after the first doubling
+        two on a base of norm one."""
+        d = 421
+        solver = PellSolver(d)
+        x1, y1 = solver.fundamental.x, solver.fundamental.y
+        point = from_parameter(d, Fraction(7, 10)) ** 3
+        w = point.y.denominator
+        bases = [
+            (1 + x1, y1, 3 * k),  # the witness base, norm 2 + 2*x1
+            (*_period_unit(solver.expansion), 3 * k),  # norm -1
+            (point.x.numerator * (w // point.x.denominator), point.y.numerator, 3 * k),  # norm w**2
+            (x1, y1, 3 + 2 * (k - 1)),  # norm 1
+        ]
+        for a, b, count in bases:
+            Big.log.clear()
+            assert _quadratic_power(d, Big(a), Big(b), 2**k) == self._stepped(d, a, b, 2**k)
+            assert Big.log == ["square"] * count, (a, b)
 
 
 class TestRatio:

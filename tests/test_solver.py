@@ -238,8 +238,8 @@ def test_period_unit_power_is_solution_convergent(d, j):
     ],
 )
 def test_every_strategy_matches_period_unit_power(d, ns):
-    # At odd L (d = 13, 61) this is the unit to the power 2n by the general
-    # doubling, where the strategies take x1**n by the norm-one doubling.
+    # At odd L (d = 13, 61) this is the unit to the power 2n, with y**2 as a
+    # square, where the strategies take x1**n with y**2 = (x**2 - 1)/d.
     solver = PellSolver(d)
     unit = _period_unit(solver.expansion)
     for n in ns:
