@@ -17,20 +17,20 @@ first JSON render and shared after it.  verify reads the witness as
 plain (n, num, den, p, q) tuples and compares num*q with den*p itself,
 building no report.
 
-The argument parser is built once per process, on the first call to
-main, and reused by every later call: building it was most of a small
-call's fixed cost.  Importing the module builds nothing.  Each call is
-parsed in one pass: an argv that starts with a command name goes
-straight to that command's subparser, which parses it exactly as the
-top-level parser would hand it on.  The top-level parser runs only when
-argv names no command (help, usage and unknown commands) or when the
-subparser leaves tokens over, so argparse words every help text, usage
-error and exit code from the same parser objects either way.
+A well-formed call is parsed from the command table, _OPTIONS, built
+from _COMMANDS and _FORMAT: argv names a command, and every later token
+is an exact --flag=value, or an exact --flag and a value that does not
+start with "-".  Each value passes the option's type and choices, as
+argparse applies them, in order, the last repeat winning; defaults fill
+in the rest.  Anything else -- help, an abbreviation, "--", an unknown or
+missing option, a value starting with "-", a refused value -- goes to
+argparse, built on the first such call and shared after it, so argparse
+words every help text, usage error and exit code.  A well-formed call
+neither imports argparse nor builds a parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import re
@@ -38,6 +38,7 @@ import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .contfrac import convergents, sqrt_cf
 from .exact import (
@@ -54,6 +55,13 @@ from .solver import PellSolution, PellSolver, Strategy
 __all__ = ["main"]
 
 
+def _refusal(message: str) -> Exception:
+    """An argparse type's refusal of a value, which argparse words as the option's error."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
+
+
 def _int_at_least(low: int) -> Callable[[str], int]:
     """An argparse type: an integer no smaller than low."""
     bound = "nonnegative" if low == 0 else f"at least {low}"
@@ -62,9 +70,9 @@ def _int_at_least(low: int) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+            raise _refusal(f"not an integer: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+            raise _refusal(f"must be {bound}, got {value}")
         return value
 
     return parse
@@ -79,15 +87,13 @@ def _rational(text: str) -> Fraction:
         exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
         if exponent and limit and abs(int(exponent[1])) > limit:
             Fraction(text[: exponent.start(1)] + "0")  # the rest must still read as a number
-            raise argparse.ArgumentTypeError(
-                f"exponent past the {limit}-digit int-to-str limit: {text!r}"
-            )
+            raise _refusal(f"exponent past the {limit}-digit int-to-str limit: {text!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        raise _refusal(f"not a rational number: {text!r}") from None
 
 
-def _cmd_solve(args: argparse.Namespace) -> Iterator[dict]:
+def _cmd_solve(args: SimpleNamespace) -> Iterator[dict]:
     solution = PellSolver(args.d).nth_solution(args.n, Strategy(args.strategy))
     yield {
         "d": args.d,
@@ -96,7 +102,7 @@ def _cmd_solve(args: argparse.Namespace) -> Iterator[dict]:
     }
 
 
-def _cmd_cf(args: argparse.Namespace) -> Iterator[dict]:
+def _cmd_cf(args: SimpleNamespace) -> Iterator[dict]:
     expansion = sqrt_cf(args.d)
     head = itertools.islice(convergents(expansion), args.terms)
     yield {
@@ -111,7 +117,7 @@ def _cmd_cf(args: argparse.Namespace) -> Iterator[dict]:
     }
 
 
-def _cmd_redei(args: argparse.Namespace) -> Iterator[dict]:
+def _cmd_redei(args: SimpleNamespace) -> Iterator[dict]:
     pair = redei_pair_fast(args.d, args.z, args.n)
     yield {
         "d": args.d,
@@ -129,7 +135,7 @@ def _median_time_ns(run: Callable[[], PellSolution], reps: int) -> tuple[PellSol
     return out, sorted(samples)[(reps - 1) // 2]
 
 
-def _cmd_bench(args: argparse.Namespace) -> Iterator[dict]:
+def _cmd_bench(args: SimpleNamespace) -> Iterator[dict]:
     solver = PellSolver(args.d)
     solver.fundamental  # pull the continued-fraction work out of the timed region
     n = args.n_max
@@ -156,7 +162,7 @@ def _cmd_bench(args: argparse.Namespace) -> Iterator[dict]:
     }
 
 
-def _cmd_verify(args: argparse.Namespace) -> Iterator[dict]:
+def _cmd_verify(args: SimpleNamespace) -> Iterator[dict]:
     for d in range(2, args.d_max + 1):
         if is_perfect_square(d):
             continue
@@ -299,32 +305,82 @@ _COMMANDS: dict[str, tuple[str, Callable, Callable, tuple]] = {
 }
 
 
+# command -> {flag: (dest, type, choices, default, required)}: what argparse
+# takes from each option in _COMMANDS and _FORMAT, in the order it adds them
+_OPTIONS = {
+    name: {
+        flag: (
+            flag[2:].replace("-", "_"),
+            options.get("type"),
+            options.get("choices"),
+            options.get("default"),
+            options.get("required", False),
+        )
+        for flag, options in (*arguments, _FORMAT)
+    }
+    for name, (_, _, _, arguments) in _COMMANDS.items()
+}
+
+
+def _read(argv: list[str]) -> dict | None:
+    """argv's values as argparse would parse them, read from _OPTIONS, or None
+    when argv is not a well-formed call (see the module docstring)."""
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value is refused as one starting with "-"
+            if value.startswith("-"):
+                return None
+        _, kind, choices, _, _ = options[flag]
+        if kind is not None:
+            try:
+                value = kind(value)
+            except Exception:  # argparse reads argv again and words the refusal
+                return None
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    values = {"command": argv[0]}
+    for flag, (dest, _, _, default, required) in options.items():
+        if flag in given:
+            values[dest] = given[flag]
+        elif required:
+            return None
+        else:
+            values[dest] = default
+    return values
+
+
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The argument parser and its {command name: subparser} map, built
-    from _COMMANDS on the first call and shared after it."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built from _COMMANDS on the first call and shared after it."""
+    import argparse  # only a call the table route cannot read pays for it
+
     parser = argparse.ArgumentParser(
         prog="pellredei",
         description="Exact solutions of x^2 - d*y^2 = 1 and the algebra behind them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     for name, (help_text, _, _, arguments) in _COMMANDS.items():
-        p = subparsers[name] = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text)
         for flag, options in (*arguments, _FORMAT):
             p.add_argument(flag, **options)
-    return parser, subparsers
+    return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the top-level parser would, mostly by the command's subparser alone."""
-    parser, subparsers = _build_parser()
-    if argv and argv[0] in subparsers:
-        args, rest = subparsers[argv[0]].parse_known_args(argv[1:])
-        if not rest:  # else the top-level parser reports the unrecognized arguments
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """argv parsed as argparse would, from the command table when it is well formed."""
+    values = _read(argv)
+    if values is None:
+        values = vars(_build_parser().parse_args(argv))
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

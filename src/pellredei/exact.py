@@ -25,9 +25,10 @@ modulo the pair 2**s - 1 and 2**s + 1 for a run of primes s whose sum of
 for a common factor 3 among the 2**s + 1, so their lcm exceeds |R|, R
 vanishes modulo all of them only if R = 0, and the test stays exact.
 One fold of each of x, y, d and w to 2**(2*s) - 1 serves both moduli of
-a pair, since 2**(2*s) - 1 = (2**s - 1)*(2**s + 1).  A fold is a few
-linear passes of shifts, masks and adds (_mod_mersenne), so the test
-squares s-bit residues, never the full-size x and y.  Best of 5 on a
+a pair, since 2**(2*s) - 1 = (2**s - 1)*(2**s + 1), and a value below
+2**s - 1 (w = 1, a small d) is its own residue and needs none.  A fold
+is a few linear passes of shifts, masks and adds (_mod_mersenne), so the
+test squares s-bit residues, never the full-size x and y.  Best of 5 on a
 2-vCPU VM under CPython 3.11, plain expression against this check:
 d = 61, n = 10**5 (x of 3.17M bits): 790 -> 257 ms; d = 1000003,
 n = 10**3 (832k bits): 92.9 -> 34.6 ms; d = 2, n = 10**5 (254k bits):
@@ -223,15 +224,14 @@ def _mod_mersenne(v: int, s: int) -> int:
     return 0 if v == mask else v
 
 
-def _split(v: int, s: int) -> tuple[int, int]:
-    """(v mod 2**s - 1, v mod 2**s + 1) for an int v in [0, 2**(2*s) - 1).
+def _fold_fermat(v: int, s: int) -> int:
+    """v mod 2**s + 1, in [0, 2**s + 1), for an int v in [0, 2**(2*s) - 1).
 
-    With v = hi*2**s + lo, 2**s is 1 modulo 2**s - 1 and -1 modulo
-    2**s + 1, so v reduces to lo + hi and to lo - hi.
+    With v = hi*2**s + lo, 2**s is -1 modulo 2**s + 1, so v reduces to
+    lo - hi.
     """
-    lo, hi = v & ((1 << s) - 1), v >> s
-    minus = lo - hi
-    return _mod_mersenne(lo + hi, s), minus + (1 << s) + 1 if minus < 0 else minus
+    minus = (v & ((1 << s) - 1)) - (v >> s)
+    return minus + (1 << s) + 1 if minus < 0 else minus
 
 
 def _mod_fermat(v: int, s: int) -> int:
@@ -239,7 +239,20 @@ def _mod_fermat(v: int, s: int) -> int:
 
     2**s + 1 divides 2**(2*s) - 1, so v folds first to width 2*s.
     """
-    return _split(_mod_mersenne(v, 2 * s), s)[1]
+    return _fold_fermat(_mod_mersenne(v, 2 * s), s)
+
+
+def _split(v: int, s: int) -> tuple[int, int]:
+    """(v mod 2**s - 1, v mod 2**s + 1) for an int v >= 0, from one fold.
+
+    A v below 2**s - 1 is its own residue on both sides.  Any other v
+    folds once to 2**(2*s) - 1 = (2**s - 1)*(2**s + 1), and that residue
+    reduces modulo each factor.
+    """
+    if v < (1 << s) - 1:
+        return v, v
+    v = _mod_mersenne(v, 2 * s)
+    return _mod_mersenne(v, s), _fold_fermat(v, s)
 
 
 def _solves_pell(x: int, y: int, d: int, w: int = 1) -> bool:
@@ -258,17 +271,18 @@ def _solves_pell(x: int, y: int, d: int, w: int = 1) -> bool:
     the (2**s + 1)/3, at least 2**sum(2*s - 3) > 2**B > |R|, and R = 0
     modulo every one of them means R = 0.  Nothing is probabilistic.
     x, y, d and w are folded once per pair, to 2**(2*s) - 1, and split
-    into both residues (_split); the squares are of s-bit numbers, so
-    the test never squares the full-size x, y and w.  Testing R modulo
-    2**(2*s) - 1 itself would be as exact, but squares 2s-bit residues:
-    it measured 8-38% slower from 44k to 3.2M bits of x.
+    into both residues (_split); a value below 2**s - 1, such as w = 1 or
+    a small d, is its own residue on both sides and is not folded.  The
+    squares are of s-bit numbers, so the test never squares the
+    full-size x, y and w.  Testing R modulo 2**(2*s) - 1 itself would be
+    as exact, but squares 2s-bit residues: it measured 8-38% slower from
+    44k to 3.2M bits of x.
     """
     if x.bit_length() < _RESIDUE_BITS:
         return x * x - d * (y * y) == w * w
     bound = max(2 * x.bit_length(), d.bit_length() + 2 * y.bit_length(), 2 * w.bit_length()) + 1
     for s in _moduli(bound):
-        folds = (_split(_mod_mersenne(v, 2 * s), s) for v in (x, y, d, w))
-        (xm, xp), (ym, yp), (dm, dp), (wm, wp) = folds
+        (xm, xp), (ym, yp), (dm, dp), (wm, wp) = (_split(v, s) for v in (x, y, d, w))
         if _mod_mersenne(xm * xm, s) != _mod_mersenne(dm * _mod_mersenne(ym * ym, s) + wm * wm, s):
             return False
         if _mod_fermat(xp * xp, s) != _mod_fermat(dp * _mod_fermat(yp * yp, s) + wp * wp, s):

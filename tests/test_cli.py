@@ -320,10 +320,18 @@ class TestCallsInOneProcess:
         monkeypatch.delitem(sys.modules, "pellredei.cli")
         cli = importlib.import_module("pellredei.cli")
         assert builds == []
+        # Well-formed calls are read from the command table.
         assert cli.main(["solve", "--d", "2"]) == 0
         assert cli.main(["cf", "--d", "2", "--terms", "1"]) == 0
         out = capsys.readouterr().out
         assert out == "x = 3\ny = 2\na0 = 1\nperiod = [2]\nL = 1\nconvergent 0: 1/1\n"
+        assert builds == []
+        # A refused value and an abbreviation reach argparse, through one parser.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["solve", "--d", "0"])
+        assert excinfo.value.code == 2
+        assert cli.main(["solve", "--d", "2", "--form", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {"x": "3", "y": "2"}
         assert len(builds) == 1
 
     def test_exit_codes_after_a_usage_error(self, capsys):
@@ -367,20 +375,22 @@ def _parsed(parse, argv):
     ],
 )
 def test_reused_parser_parses_like_a_fresh_one(argv):
-    reused = _build_parser()[0].parse_args
+    reused = _build_parser().parse_args
     parsed, _, _ = _parsed(reused, ["solve", "--d", "7", "--n", "2", "--format", "json"])
     assert parsed["format"] == "json"
     assert _parsed(reused, ["cf", "--d", "0"])[0] == 2
-    assert _parsed(reused, argv) == _parsed(_build_parser.__wrapped__()[0].parse_args, argv)
+    assert _parsed(reused, argv) == _parsed(_build_parser.__wrapped__().parse_args, argv)
 
 
 def _both_routes(argv):
     """main's parse of argv, and a fresh top-level parser's."""
-    return _parsed(_parse, argv), _parsed(_build_parser.__wrapped__()[0].parse_args, argv)
+    return _parsed(_parse, argv), _parsed(_build_parser.__wrapped__().parse_args, argv)
 
 
 # Command names known, unknown and none; --k v and --k=v; abbreviations;
-# help; "--"; leftover and repeated tokens; bad types and choices.
+# help; "--"; leftover and repeated tokens; bad types and choices; empty,
+# split and cased --k=v forms, a flag of another command, and values int()
+# reads with a space or in another script.
 ROUTE_TOKENS = [
     *cli._COMMANDS,
     "bogus",
@@ -415,6 +425,14 @@ ROUTE_TOKENS = [
     "1e5000",
     "json",
     "cf",
+    "--d=",
+    "--d=2=3",
+    "--n-max=1",
+    "--D=2",
+    "--strategy=",
+    "--format=JSON",
+    " 3",
+    "\u0663",
 ]
 
 
@@ -457,6 +475,15 @@ ROUTE_TOKENS = [
         ["bench", "--d", "2", "--n-max", "2", "--reps", "1"],
         ["verify", "--d-max", "3", "--n-ma", "2"],
         ["verify", "extra", "--d-max", "3"],
+        ["solve", "--d", " 3"],
+        ["solve", "--d=\u0663"],
+        ["solve", "--d=", "--d", "2"],
+        ["solve", "--d=2=3"],
+        ["solve", "--d", "2", "--format=JSON"],
+        ["solve", "--d", "2", "--strategy="],
+        ["solve", "--D=2"],
+        ["bench", "--d", "2", "--n=1"],
+        ["verify", "--n-max=1", "--d", "2"],
     ],
 )
 def test_both_parse_routes_agree(argv):
@@ -483,19 +510,33 @@ def test_well_formed_call_skips_the_top_level_parser(capsys, monkeypatch):
         raise AssertionError("reached the top-level parser")
 
     # parse_args runs through parse_known_args, so this catches either.
-    monkeypatch.setattr(_build_parser()[0], "parse_known_args", top_level_parse)
+    monkeypatch.setattr(_build_parser(), "parse_known_args", top_level_parse)
     for argv in (
         ["solve", "--d", "2"],
         ["solve", "--d=1913", "--n=143", "--strategy=cf", "--format=json"],
-        ["cf", "--d", "7", "--terms", "3", "--form", "json"],
+        ["cf", "--d", "7", "--terms", "3", "--format", "json"],
         ["redei", "--d=2", "--z=3/2", "--n=4"],
         ["bench", "--d", "2", "--n-max", "2", "--reps", "1"],
         ["verify", "--d-max", "5", "--n-max", "2"],
     ):
         assert main(argv) == 0
-    with pytest.raises(AssertionError, match="top-level"):
-        main(["solve", "--d", "2", "extra"])
+    for argv in (
+        ["solve", "--d", "2", "extra"],
+        ["cf", "--d", "7", "--terms", "3", "--form", "json"],
+        ["solve", "--d", "2", "--n", "-1"],
+        ["solve", "--help"],
+    ):
+        with pytest.raises(AssertionError, match="top-level"):
+            main(argv)
     capsys.readouterr()
+
+
+def test_no_typed_option_has_a_str_default():
+    # argparse passes a str default through the option's type; the table
+    # route fills in defaults as they are.
+    for name, (_, _, _, arguments) in cli._COMMANDS.items():
+        for flag, options in (*arguments, cli._FORMAT):
+            assert not ("type" in options and isinstance(options.get("default"), str)), (name, flag)
 
 
 @pytest.mark.xfail(
@@ -545,13 +586,15 @@ def test_module_exit_codes(argv, code):
 
 def test_cold_import_loads_no_heavy_module():
     """Importing the package and its CLI loads none of the heavy modules below;
-    a JSON render still works, importing json when it runs."""
+    a JSON render still works, importing json when it runs, and a well-formed
+    call leaves argparse unloaded."""
     code = (
         "import sys\n"
         "import pellredei, pellredei.cli\n"
-        "heavy = ('dataclasses', 'inspect', 'json', 'statistics', 'typing')\n"
+        "heavy = ('argparse', 'dataclasses', 'gettext', 'inspect', 'json', 'statistics', 'typing')\n"
         "print([name for name in heavy if name in sys.modules])\n"
         "pellredei.cli.main(['solve', '--d', '61', '--format', 'json'])\n"
+        "print('argparse' in sys.modules)\n"
     )
     src = str(Path(pellredei.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -565,4 +608,5 @@ def test_cold_import_loads_no_heavy_module():
         "[]",
         '{"command":"solve","d":"61","params":{"n":"1","strategy":"redei"},'
         '"result":{"x":"1766319049","y":"226153980"}}',
+        "False",
     ]

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -291,7 +292,7 @@ class TestModMersenne:
 
 
 class TestModFermat:
-    """The 2**s + 1 fold, and the split of a 2**(2*s) - 1 residue into both halves."""
+    """The 2**s + 1 fold, and the split of any v >= 0 into both residues."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(v=st.integers(0, 2**5000), s=st.integers(1, 300))
@@ -301,7 +302,7 @@ class TestModFermat:
     @settings(max_examples=200, deadline=None, database=None)
     @given(data=st.data(), s=st.integers(1, 300))
     def test_split_matches_remainders(self, data, s):
-        v = data.draw(st.integers(0, (1 << (2 * s)) - 2))
+        v = data.draw(st.integers(0, (1 << (2 * s)) - 2) | st.integers(0, 2**5000))
         assert exact._split(v, s) == (v % ((1 << s) - 1), v % ((1 << s) + 1))
 
     @pytest.mark.parametrize("s", [1, 2, 61, 12289])
@@ -384,6 +385,35 @@ class TestSolvesPellAgrees:
             assert exact._solves_pell(x, y, d, w)
             x, y, w = max(0, x + dx), max(0, y + dy), max(0, w + dw)
             assert exact._solves_pell(x, y, d, w) == _plain(x, y, d, w)
+
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1])
+    @pytest.mark.parametrize("role", ["w", "d"])
+    def test_d_or_w_at_the_first_modulus(self, role, k):
+        """x past 2**15 bits, and d or w at 2**s + k for the first ladder prime
+        s, where a value stops being its own residue: the true cases pass
+        and every neighbour off by one is refused, on the real ladder."""
+        s = exact._ladder(exact._LADDER_START)[0][0]
+        assert s == 3079
+        v = (1 << s) + k
+        if role == "w":
+            # x**2 - d = (m + w)**2 - m*(m + 2*w) = w**2.
+            m = 1 << (1 << 15)
+            cases = [(m + v, 1, m * (m + 2 * v), v)]
+        else:
+            # x**2 - w**2 = (x - w)*(x + w) = d*y**2 in both.
+            t = 1 << (1 << 14)
+            cases = [(v * t * t + 1, 2 * t, v, v * t * t - 1)]
+            if v % 2:
+                y = 2 * t + 1
+                cases.append(((y * y + v) // 2, y, v, (y * y - v) // 2))
+        for case in cases:
+            assert case[0].bit_length() > exact._RESIDUE_BITS
+            assert _plain(*case) and exact._solves_pell(*case)
+            for i, step in itertools.product(range(4), (-1, 1)):
+                near = list(case)
+                near[i] += step
+                assert not _plain(*near)
+                assert not exact._solves_pell(*near), (i, step)
 
 
 class TestSolvesPellAtThreshold:
