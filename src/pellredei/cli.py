@@ -13,9 +13,9 @@ The record path is one cheap pass per record.  The records hold only
 dicts, lists, tuples, strs, numbers and INF, all built here, so _text
 dispatches on the exact type of each value, strs passing through as
 they are.  The JSON renderer encodes with one JSONEncoder, built on the
-first JSON render and shared after it.  verify reads the witness as
-plain (n, num, den, p, q) tuples and compares num*q with den*p itself,
-building no report.
+first JSON render and shared after it.  verify's records come from
+solver._verify_records, one pass per radicand that builds no solver,
+solution or report object and whose leaves are already strs.
 
 A well-formed call is parsed from the command table, _OPTIONS, built
 from _COMMANDS and _FORMAT: argv names a command, and every later token
@@ -47,10 +47,9 @@ from .exact import (
     PerfectSquareError,
     _brief,
     decimal_digits,
-    is_perfect_square,
 )
 from .redei import redei_pair_fast
-from .solver import PellSolution, PellSolver, Strategy
+from .solver import PellSolution, PellSolver, Strategy, _verify_records
 
 __all__ = ["main"]
 
@@ -163,26 +162,7 @@ def _cmd_bench(args: SimpleNamespace) -> Iterator[dict]:
 
 
 def _cmd_verify(args: SimpleNamespace) -> Iterator[dict]:
-    for d in range(2, args.d_max + 1):
-        if is_perfect_square(d):
-            continue
-        solver = PellSolver(d)
-        for n, num, den, p, q in itertools.islice(solver._witness(), args.n_max):
-            if num * q != den * p:
-                raise ConsistencyError(
-                    f"Redei value != convergent at d={d}, n={n}: "
-                    f"{_brief(Fraction(num, den))} vs {_brief(Fraction(p, q))}"
-                )
-        yield {
-            "d": d,
-            "params": {"n_max": args.n_max},
-            "result": {
-                "period_length": solver.period_length,
-                "parity": solver.parity,
-                "checked": args.n_max,
-                "equal": "true",
-            },
-        }
+    return _verify_records(args.d_max, args.n_max)
 
 
 def _text(value: object) -> object:
@@ -379,7 +359,13 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     """argv parsed as argparse would, from the command table when it is well formed."""
     values = _read(argv)
     if values is None:
-        values = vars(_build_parser().parse_args(argv))
+        parser = _build_parser()
+        values = vars(parser.parse_args(argv))
+        for flag, (dest, *_) in _OPTIONS[values["command"]].items():
+            if values[dest] == []:
+                # argparse before 3.13 reads --flag=-- as no value and skips the
+                # type; refused here as argparse refuses a flag with no value.
+                parser.parse_args([values["command"], flag])
     return SimpleNamespace(**values)
 
 

@@ -16,11 +16,15 @@ route: every strategy makes the same calls and raises the same errors.
 Neither the sequential convergent walk nor the linear fold's steps call
 the kernel: the walk is the independent witness, checked against the
 paper's Redei value, and the fold is what bench times the kernel against.
-The witness walks once per radicand: one convergent stream, strided to
-the solution indices, yields the plain tuple (n, num, den, p, q) for
-n = 1, 2, ..., one kernel call each; correspondence_check builds a
-CorrespondenceReport from one tuple, and verify compares num*q with
-den*p itself and builds none.
+The witness is one function, _witness: one convergent stream, strided
+to the solution indices, yields the plain tuple (n, num, den, p, q) for
+n = 1, 2, ..., one kernel call each on the product-tree fundamental.
+correspondence_check builds a CorrespondenceReport from one tuple.  The
+CLI's verify runs _verify_records, one pass per radicand that builds no
+solver or solution object: it expands d once, checks the fundamental by
+exact._solves_pell, and compares num*q with den*p for each tuple.  Both
+keep the witness's three parts independent: the sequential walk, a
+kernel call on the product-tree fundamental, and cross-multiplication.
 Every route's answer, the linear fold's too, is checked once as its
 PellSolution is built, by exact._solves_pell; a non-solution raises
 ConsistencyError (exit 4).  bench checks only the fold's last pair,
@@ -34,6 +38,7 @@ passes it.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Iterator, Sequence
 from enum import Enum
@@ -41,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .contfrac import SqrtExpansion, _pairs, sqrt_cf
-from .exact import ConsistencyError, _brief, _solves_pell, _Value, require_nonsquare
+from .exact import ConsistencyError, _brief, _solves_pell, _Value, isqrt, require_nonsquare
 from .hyperbola import HyperbolaPoint
 from .redei import _quadratic_power
 
@@ -148,10 +153,7 @@ class PellSolver:
         n = operator.index(n)
         if n < 1:
             raise ValueError("solutions are numbered from 1")
-        length = self.period_length
-        if length % 2 == 0:
-            return n * length - 1
-        return 2 * n * length - 1
+        return n * _stride(self.period_length) - 1
 
     @cached_property
     def fundamental(self) -> PellSolution:
@@ -161,10 +163,7 @@ class PellSolver:
         for even L it is the minimal solution and for odd L its square,
         one kernel call, is convergent 2L - 1.
         """
-        p, q = _period_unit(self.expansion)
-        if self.period_length % 2:
-            p, q = _quadratic_power(self.d, p, q, 2)
-        return self._checked(1, p, q, "the product tree")
+        return self._checked(1, *_fundamental(self.expansion), "the product tree")
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution (n >= 1), (x1 + y1*sqrt(d))**n.
@@ -215,11 +214,12 @@ class PellSolver:
         the raw values so a mismatch is inspectable.  The convergent comes
         from the sequential walk, independent of every solution route.
         n is checked by solution_index before any work; the report is built
-        from the first tuple of _witness(n), so one call walks once to its
-        index and makes one kernel call.
+        from the first tuple of _witness started at n, so one call walks
+        once to its index and makes one kernel call.
         """
         index = self.solution_index(n)
-        n, num, den, p, q = next(self._witness(n))
+        base = self.fundamental
+        n, num, den, p, q = next(_witness(self.expansion, base.x, base.y, n))
         return CorrespondenceReport(
             d=self.d,
             n=n,
@@ -233,29 +233,86 @@ class PellSolver:
             equal=num * q == den * p,
         )
 
-    def _witness(self, first: int = 1) -> Iterator[tuple[int, int, int, int, int]]:
-        """(n, num, den, p, q) for n = first, first + 1, ..., from one walk.
-
-        num/den is the 2n-th Redei value at the slope, one kernel call per
-        n, and p/q is convergent n*stride - 1, stride = solution_index(1) + 1,
-        read off one convergent stream strided to those indices.  verify
-        reads every n in turn from _witness(), so it walks once per radicand.
-        """
-        base = self.fundamental  # checked, so y1 >= 1 and the slope is finite
-        stride = self.solution_index(1) + 1
-        walk = _pairs(self.expansion, first * stride - 1, stride)
-        for n, (p, q) in enumerate(walk, first):
-            num, den = _quadratic_power(self.d, 1 + base.x, base.y, 2 * n)
-            yield n, num, den, p, q
-
     def _checked(self, n: int, x: int, y: int, route: str) -> PellSolution:
         """(x, y) as the n-th solution: the one exact check of every route."""
         try:
             return PellSolution(self.d, n, x, y)
         except ValueError as exc:
-            raise ConsistencyError(
-                f"{route} produced a non-solution at d={_brief(self.d)}, n={n}"
-            ) from exc
+            raise _non_solution(route, self.d, n) from exc
+
+
+def _non_solution(route: str, d: int, n: int) -> ConsistencyError:
+    return ConsistencyError(f"{route} produced a non-solution at d={_brief(d)}, n={n}")
+
+
+def _stride(length: int) -> int:
+    """Convergent indices between solutions: L for even L, 2L for odd L.
+
+    The n-th solution is convergent n*stride - 1.
+    """
+    return length if length % 2 == 0 else 2 * length
+
+
+def _fundamental(expansion: SqrtExpansion) -> tuple[int, int]:
+    """(x1, y1), unchecked: the period unit, squared when L is odd (see PellSolver.fundamental)."""
+    p, q = _period_unit(expansion)
+    if expansion.period_length % 2:
+        p, q = _quadratic_power(expansion.d, p, q, 2)
+    return p, q
+
+
+def _witness(
+    expansion: SqrtExpansion, x1: int, y1: int, first: int = 1
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """(n, num, den, p, q) for n = first, first + 1, ..., from one walk.
+
+    (x1, y1) is the checked fundamental, so y1 >= 1 and the slope
+    (1 + x1)/y1 is finite.  num/den is the 2n-th Redei value at the
+    slope, one kernel call per n, and p/q is convergent n*stride - 1,
+    read off one convergent stream strided to those indices.
+    """
+    stride = _stride(expansion.period_length)
+    walk = _pairs(expansion, first * stride - 1, stride)
+    for n, (p, q) in enumerate(walk, first):
+        num, den = _quadratic_power(expansion.d, 1 + x1, y1, 2 * n)
+        yield n, num, den, p, q
+
+
+def _verify_records(d_max: int, n_max: int) -> Iterator[dict]:
+    """verify's records: the witness checked at n = 1..n_max for each
+    nonsquare d in 2..d_max, one lean pass per radicand.
+
+    Each d is expanded once; its fundamental is checked by _solves_pell,
+    as a PellSolution's would be, and every n is read from one _witness
+    walk, num*q compared with den*p.  No solver or solution object is
+    built, and every leaf of a record is already the str the CLI prints.
+    """
+    checked = str(n_max)
+    for d in range(2, d_max + 1):
+        root = isqrt(d)
+        if root * root == d:
+            continue
+        expansion = sqrt_cf(d)
+        x1, y1 = _fundamental(expansion)
+        if x1 < 1 or y1 < 1 or not _solves_pell(x1, y1, d):
+            raise _non_solution("the product tree", d, 1)
+        for n, num, den, p, q in itertools.islice(_witness(expansion, x1, y1), n_max):
+            if num * q != den * p:
+                raise ConsistencyError(
+                    f"Redei value != convergent at d={d}, n={n}: "
+                    f"{_brief(Fraction(num, den))} vs {_brief(Fraction(p, q))}"
+                )
+        length = expansion.period_length
+        yield {
+            "d": str(d),
+            "params": {"n_max": checked},
+            "result": {
+                "period_length": str(length),
+                "parity": "odd" if length % 2 else "even",
+                "checked": checked,
+                "equal": "true",
+            },
+        }
 
 
 # Quotients per leaf of the product tree: below this, the interpreter's

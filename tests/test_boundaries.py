@@ -457,8 +457,7 @@ class TestKernelOneShort:
 
     @pytest.fixture(autouse=True)
     def one_short(self, monkeypatch):
-        real = solver._quadratic_power
-        monkeypatch.setattr(solver, "_quadratic_power", lambda d, a, b, n: real(d, a, b, n - 1))
+        _kernel_one_short(monkeypatch)
 
     def test_cli_exit_code_4(self, capsys):
         code = main(["solve", "--d", "7", "--n", "3"])
@@ -474,18 +473,58 @@ class TestSquaredPeriodUnit:
 
     @pytest.fixture(autouse=True)
     def squared(self, monkeypatch):
-        real = solver._period_unit
-
-        def square(expansion):
-            return solver._quadratic_power(expansion.d, *real(expansion), 2)
-
-        monkeypatch.setattr(solver, "_period_unit", square)
+        _squared_period_unit(monkeypatch)
 
     def test_cli_exit_code_4(self, capsys):
         code = main(["solve", "--d", "7"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
+
+
+def _kernel_one_short(monkeypatch):
+    real = solver._quadratic_power
+    monkeypatch.setattr(solver, "_quadratic_power", lambda d, a, b, n: real(d, a, b, n - 1))
+
+
+def _squared_period_unit(monkeypatch):
+    real = solver._period_unit
+
+    def square(expansion):
+        return solver._quadratic_power(expansion.d, *real(expansion), 2)
+
+    monkeypatch.setattr(solver, "_period_unit", square)
+
+
+class TestWitnessCatchesNormPreservingFaults:
+    """The two faults above pass the exact check, but not verify's witness:
+    its convergent side is the sequential walk, apart from the product tree
+    and the kernel, so a wrong fundamental or a wrong power shows as a
+    Redei value off its convergent."""
+
+    def test_squared_period_unit(self, monkeypatch, capsys):
+        _squared_period_unit(monkeypatch)
+        code = main(["verify", "--d-max", "8", "--n-max", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        # The fundamental 3 + 2*sqrt(2) is read as its square, 17 + 12*sqrt(2).
+        assert captured.err == "error: Redei value != convergent at d=2, n=1: 17/12 vs 3/2\n"
+
+    def test_kernel_one_short(self, monkeypatch, capsys):
+        _kernel_one_short(monkeypatch)
+        code = main(["verify", "--d-max", "8", "--n-max", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        # d = 2 has odd period length, so its fundamental is the unit squared
+        # by the kernel: one short, it is the unit, of norm -1.
+        assert captured.err == "error: the product tree produced a non-solution at d=2, n=1\n"
+        # d = 7 has even period length: its fundamental makes no kernel call
+        # and passes, and the witness reads the Redei value of index 2n - 1.
+        report = PellSolver(7).correspondence_check(1)
+        assert (report.redei_value, report.convergent_value) == (3, Fraction(8, 3))
+        assert not report.equal
 
 
 class TestWrongProductTree:

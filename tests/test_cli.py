@@ -283,14 +283,14 @@ class TestVerify:
         assert code == 0
         if fmt == "text":
             before = before.replace("checked 4 radicands, all consistent\n", "")
-        real = PellSolver._witness
+        real = solver_module._witness
 
-        def wrong_at_7(self):
+        def wrong_at_7(expansion, x1, y1, first=1):
             # At d = 7 the Redei value 8/3 is read as 11/3.
-            for n, num, den, p, q in real(self):
-                yield n, num + den if self.d == 7 else num, den, p, q
+            for n, num, den, p, q in real(expansion, x1, y1, first):
+                yield n, num + den if expansion.d == 7 else num, den, p, q
 
-        monkeypatch.setattr(PellSolver, "_witness", wrong_at_7)
+        monkeypatch.setattr(solver_module, "_witness", wrong_at_7)
         code, out, err = run(capsys, "verify", "--d-max", "20", "--n-max", "2", "--format", fmt)
         assert code == 4
         assert err == "error: Redei value != convergent at d=7, n=1: 11/3 vs 8/3\n"
@@ -489,6 +489,26 @@ ROUTE_TOKENS = [
 def test_both_parse_routes_agree(argv):
     main_route, top_level = _both_routes(argv)
     assert main_route == top_level
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve", "--d=--"], "--d"),
+        (["solve", "--d", "2", "--strategy=--"], "--strategy"),
+        (["redei", "--d", "2", "--z=--", "--n", "1"], "--z"),
+        (["verify", "--n-max=--"], "--n-max"),
+        (["cf", "--d", "2", "--format=--"], "--format"),
+    ],
+)
+def test_end_of_options_marker_as_a_value_is_refused(capsys, argv, flag):
+    # argparse before 3.13 reads --flag=-- as no value and skips the type and choices.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument {flag}: " in captured.err
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -255,7 +255,7 @@ class TestClearedRoute:
         HyperbolaPoint(12, 2, Fraction(1, 2)) ** 4
         HyperbolaPoint(2, 3, 2) ** 5
         PellSolver(13).nth_solution(7)  # L = 5, odd: the fundamental squares the unit
-        next(PellSolver(7)._witness(3))
+        PellSolver(7).correspondence_check(3)
         assert len(calls) == 12
         assert all(type(arg) is int for args in calls for arg in args), calls
 

@@ -337,7 +337,8 @@ class TestCorrespondence:
             if brute_is_square(d):
                 continue
             solver = PellSolver(d)
-            streamed = list(itertools.islice(solver._witness(), 10))
+            base = solver.fundamental
+            streamed = list(itertools.islice(solver_module._witness(solver.expansion, base.x, base.y), 10))
             for n, witness in enumerate(streamed, 1):
                 report = correspondence_check(d, n)
                 assert witness == (
