@@ -1,21 +1,21 @@
 """Command-line front end: solve, cf, redei, bench, verify.
 
 Each command is a generator of records of native values, {"d",
-"params", "result"} plus "timings_ns" for bench.  main turns each value
-into text in one place, _text (str() of each number, "INF" for INF, so
-huge integers and exact rationals survive any JSON parser), and streams
-the records, headed by "command", to one renderer: canonical JSON, one
-object per line, or the command's own text layout.  Exit codes: 0
+"params", "result"} plus "timings_ns" for bench.  main streams the
+records as they are to one renderer: canonical JSON, one object per line
+headed by "command", or the command's own text layout.  Exit codes: 0
 success, 2 usage error, 3 the radicand was a perfect square, 4 an
 internal cross-check failed.
 
-The record path is one cheap pass per record.  The records hold only
-dicts, lists, tuples, strs, numbers and INF, all built here, so _text
-dispatches on the exact type of each value, strs passing through as
-they are.  The JSON renderer encodes with one JSONEncoder, built on the
-first JSON render and shared after it.  verify's records come from
-solver._verify_records, one pass per radicand that builds no solver,
-solution or report object and whose leaves are already strs.
+A record goes to its output text in one pass, and a number becomes text
+only there: str() of each number ("INF" for INF), so huge integers and
+exact rationals survive any JSON parser.  _json writes a record's JSON
+in one recursive walk that dispatches on the exact type of each value.
+Each text renderer formats the record with f-strings, builds its whole
+text and prints it once, so a number past the int-to-str digit limit
+raises before any of the record's lines print.  verify's records come
+from solver._verify_records, one pass per radicand that builds no
+solver, solution or report object.
 
 A well-formed call is parsed from the command table, _OPTIONS, built
 from _COMMANDS and _FORMAT: argv names a command, and every later token
@@ -41,13 +41,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .contfrac import convergents, sqrt_cf
-from .exact import (
-    INF,
-    ConsistencyError,
-    PerfectSquareError,
-    _brief,
-    decimal_digits,
-)
+from .exact import ConsistencyError, PerfectSquareError, _brief, decimal_digits
 from .redei import redei_pair_fast
 from .solver import PellSolution, PellSolver, Strategy, _verify_records
 
@@ -165,59 +159,55 @@ def _cmd_verify(args: SimpleNamespace) -> Iterator[dict]:
     return _verify_records(args.d_max, args.n_max)
 
 
-def _text(value: object) -> object:
-    """A record value as output text, in either format: str() of each number, "INF" for INF.
+def _json(value: object) -> str:
+    """value as compact JSON, each leaf the quoted str() of the value.
 
-    Dispatches on the exact type: a record holds only the types below.
+    No escape is needed: a record holds only dicts, lists, tuples, strs,
+    ints, Fractions and INF.  A number's str() is digits, "-" and "/", and
+    every str is a fixed key, a number's str(), an option's choice or one
+    of the words odd, even and true.
     """
     kind = type(value)
     if kind is dict:
-        return {key: _text(item) for key, item in value.items()}
-    if kind is str:
-        return value
+        return "{" + ",".join([f'"{key}":{_json(item)}' for key, item in value.items()]) + "}"
     if kind is list or kind is tuple:
-        return [_text(item) for item in value]
-    return "INF" if value is INF else str(value)
+        return "[" + ",".join(map(_json, value)) + "]"
+    return f'"{value}"'
 
 
-@functools.cache
-def _json_encode() -> Callable[[object], str]:
-    """The compact JSON encoder, built on the first JSON render and shared after it."""
-    import json  # only a JSON render pays for importing it
-
-    return json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _render_json(records: Iterable[dict]) -> None:
-    encode = _json_encode()
+def _render_json(records: Iterable[dict], command: str) -> None:
+    head = f'{{"command":"{command}",'
     for record in records:
-        print(encode(record))
+        print(head + _json(record)[1:])
 
 
 def _render_assignments(records: Iterable[dict]) -> None:
     for record in records:
-        for key, value in record["result"].items():
-            print(f"{key} = {value}")
+        print("\n".join([f"{key} = {value}" for key, value in record["result"].items()]))
 
 
 def _render_cf(records: Iterable[dict]) -> None:
     for record in records:
         result = record["result"]
-        print(f"a0 = {result['a0']}")
-        print(f"period = [{', '.join(result['period'])}]")
-        print(f"L = {result['period_length']}")
-        for c in result["convergents"]:
-            print(f"convergent {c['k']}: {c['p']}/{c['q']}")
+        lines = [
+            f"a0 = {result['a0']}",
+            f"period = [{', '.join(map(str, result['period']))}]",
+            f"L = {result['period_length']}",
+        ]
+        lines += [f"convergent {c['k']}: {c['p']}/{c['q']}" for c in result["convergents"]]
+        print("\n".join(lines))
 
 
 def _render_bench(records: Iterable[dict]) -> None:
     for record in records:
         result = record["result"]
-        print(f"x digits = {result['x_digits']}")
-        print(f"y digits = {result['y_digits']}")
-        print("agreement: ok")
-        for name, ns in record["timings_ns"].items():
-            print(f"{name} median: {ns} ns")
+        lines = [
+            f"x digits = {result['x_digits']}",
+            f"y digits = {result['y_digits']}",
+            "agreement: ok",
+        ]
+        lines += [f"{name} median: {ns} ns" for name, ns in record["timings_ns"].items()]
+        print("\n".join(lines))
 
 
 def _render_verify(records: Iterable[dict]) -> None:
@@ -372,9 +362,11 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     _, build, render_text, _ = _COMMANDS[args.command]
-    render = _render_json if args.format == "json" else render_text
     try:
-        render(_text({"command": args.command, **record}) for record in build(args))
+        if args.format == "json":
+            _render_json(build(args), args.command)
+        else:
+            render_text(build(args))
     except PerfectSquareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pellredei
-from pellredei import PellSolver, Strategy, cli
+from pellredei import INF, PellSolver, Strategy, cli
 from pellredei import solver as solver_module
 from pellredei.cli import _build_parser, _median_time_ns, _parse, _rational, main
 
@@ -296,6 +296,95 @@ class TestVerify:
         assert err == "error: Redei value != convergent at d=7, n=1: 11/3 vs 8/3\n"
         assert out == before
         assert len(out.splitlines()) == 4
+
+
+# Every str a record can hold besides its keys: the command names, every
+# option's choices, and the fixed words of verify's and bench's records.
+RECORD_WORDS = sorted(
+    {
+        *cli._COMMANDS,
+        *(
+            choice
+            for _, _, _, arguments in cli._COMMANDS.values()
+            for _, options in (*arguments, cli._FORMAT)
+            for choice in options.get("choices", ())
+        ),
+        "odd",
+        "even",
+        "true",
+    }
+)
+
+
+def _keys(value):
+    """Every dict key in a record."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _keys(item)
+
+
+def test_record_words_need_no_json_escape():
+    # cli._json quotes a str as it is: its one precondition.
+    keys = set()
+    for argv in (
+        ["solve", "--d", "2"],
+        ["cf", "--d", "7", "--terms", "2"],
+        ["redei", "--d", "2", "--z", "2", "--n", "1"],
+        ["bench", "--d", "2", "--n-max", "3", "--reps", "1"],
+        ["verify", "--d-max", "5", "--n-max", "1"],
+    ):
+        args = _parse(argv)
+        for record in cli._COMMANDS[args.command][1](args):
+            keys.update(_keys(record))
+    for word in (*RECORD_WORDS, *keys):
+        assert json.dumps(word) == f'"{word}"', word
+
+
+def _as_text(value):
+    """value with every number as its str() and every tuple as a list."""
+    if isinstance(value, dict):
+        return {key: _as_text(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_text(item) for item in value]
+    return value if isinstance(value, str) else str(value)
+
+
+_RECORD_VALUES = st.recursive(
+    st.one_of(st.integers(), st.fractions(), st.just(INF), st.sampled_from(RECORD_WORDS)),
+    lambda inner: st.one_of(
+        st.dictionaries(st.sampled_from(RECORD_WORDS), inner, max_size=4),
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_RECORD_VALUES)
+def test_json_writer_matches_the_json_module(record):
+    assert cli._json(record) == json.dumps(_as_text(record), separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--d", "61", "--n", "3"],
+        ["bench", "--d", "61", "--n-max", "50", "--reps", "1"],
+        ["redei", "--d", "2", "--z", "2", "--n", "0"],  # Q is INF
+        ["redei", "--d", "13", "--z=-7/3", "--n", "9"],  # negative Fractions
+    ],
+)
+def test_json_line_round_trips(capsys, argv):
+    # cf and verify are checked the same way in TestCf and TestVerify.
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    line = out.strip()
+    assert json.dumps(json.loads(line), separators=(",", ":")) == line
 
 
 class TestCallsInOneProcess:
@@ -606,8 +695,7 @@ def test_module_exit_codes(argv, code):
 
 def test_cold_import_loads_no_heavy_module():
     """Importing the package and its CLI loads none of the heavy modules below;
-    a JSON render still works, importing json when it runs, and a well-formed
-    call leaves argparse unloaded."""
+    a JSON render still works, and a well-formed call leaves argparse unloaded."""
     code = (
         "import sys\n"
         "import pellredei, pellredei.cli\n"
@@ -630,3 +718,26 @@ def test_cold_import_loads_no_heavy_module():
         '"result":{"x":"1766319049","y":"226153980"}}',
         "False",
     ]
+
+
+def test_no_cli_call_imports_json():
+    """Every command renders its JSON without the json module (README, lean import)."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from pellredei import cli\n"
+        "calls = [['solve', '--d', '61'], ['cf', '--d', '7', '--terms', '3'],\n"
+        "         ['redei', '--d', '13', '--z=-7/3', '--n', '9'],\n"
+        "         ['bench', '--d', '61', '--n-max', '3', '--reps', '1'], ['verify']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main([*argv, '--format', 'json']) for argv in calls]\n"
+        "print(codes, 'json' in sys.modules)\n"
+    )
+    src = str(Path(pellredei.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 0] False\n"
