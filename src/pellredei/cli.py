@@ -8,13 +8,19 @@ success, 2 usage error, 3 the radicand was a perfect square, 4 an
 internal cross-check failed.
 
 A record goes to its output text in one pass, and a number becomes text
-only there: str() of each number ("INF" for INF), so huge integers and
-exact rationals survive any JSON parser.  _json writes a record's JSON
-in one recursive walk that dispatches on the exact type of each value.
-Each text renderer formats the record with f-strings, builds its whole
-text and prints it once, so a number past the int-to-str digit limit
-raises before any of the record's lines print.  verify's records come
-from solver._verify_records, one pass per radicand that builds no
+only there.  Every number of a JSON record, and in text every number of
+an answer (solve's x and y, redei's N, D and Q, cf's convergents), goes
+through _str: the bytes of str() ("INF" for INF), each int by
+exact._decimal_text, which is str() below 4500 bits and a subquadratic
+split above.  The rest of the text, counts, indices and cf's partial
+quotients (at most 2*sqrt(d)), is formatted by f-strings.  Numbers are
+quoted in JSON, so huge integers and exact rationals survive any JSON
+parser.  _json writes a record's JSON in one recursive walk that
+dispatches on the exact type of each value.  Each text renderer formats
+the record with f-strings, builds its whole text and prints it once, so
+a number past the int-to-str digit limit raises before any of the
+record's lines print.  solve's one record comes from solver._solution,
+and verify's from solver._verify_records: lean passes that build no
 solver, solution or report object.
 
 A well-formed call is parsed from the command table, _OPTIONS, built
@@ -41,9 +47,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .contfrac import convergents, sqrt_cf
-from .exact import ConsistencyError, PerfectSquareError, _brief, decimal_digits
+from .exact import ConsistencyError, PerfectSquareError, _brief, _decimal_text, decimal_digits
 from .redei import redei_pair_fast
-from .solver import PellSolution, PellSolver, Strategy, _verify_records
+from .solver import PellSolution, PellSolver, Strategy, _solution, _verify_records
 
 __all__ = ["main"]
 
@@ -75,9 +81,13 @@ def _rational(text: str) -> Fraction:
     # Fraction computes 10**exponent unbounded ("1e999999999" runs for hours).
     # An exponent stands for that many digits, so it is held to the digit
     # limit int() puts on --d and --n (none when 0 or before Python 3.10.7).
+    # Only a text with an e or E is searched; compiling the pattern at import
+    # would cost every call of the CLI about 0.1 ms.
     limit = getattr(sys, "get_int_max_str_digits", int)()
     try:
-        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+        exponent = ("e" in text or "E" in text) and re.search(
+            r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE
+        )
         if exponent and limit and abs(int(exponent[1])) > limit:
             Fraction(text[: exponent.start(1)] + "0")  # the rest must still read as a number
             raise _refusal(f"exponent past the {limit}-digit int-to-str limit: {text!r}")
@@ -87,11 +97,11 @@ def _rational(text: str) -> Fraction:
 
 
 def _cmd_solve(args: SimpleNamespace) -> Iterator[dict]:
-    solution = PellSolver(args.d).nth_solution(args.n, Strategy(args.strategy))
+    x, y = _solution(args.d, args.n)
     yield {
         "d": args.d,
         "params": {"n": args.n, "strategy": args.strategy},
-        "result": {"x": solution.x, "y": solution.y},
+        "result": {"x": x, "y": y},
     }
 
 
@@ -159,12 +169,23 @@ def _cmd_verify(args: SimpleNamespace) -> Iterator[dict]:
     return _verify_records(args.d_max, args.n_max)
 
 
+def _str(value: object) -> str:
+    """str(value), each int in it by exact._decimal_text."""
+    kind = type(value)
+    if kind is int:
+        return _decimal_text(value)
+    if kind is Fraction:
+        num = _decimal_text(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_decimal_text(value.denominator)}"
+    return str(value)
+
+
 def _json(value: object) -> str:
-    """value as compact JSON, each leaf the quoted str() of the value.
+    """value as compact JSON, each leaf the quoted _str() of the value.
 
     No escape is needed: a record holds only dicts, lists, tuples, strs,
-    ints, Fractions and INF.  A number's str() is digits, "-" and "/", and
-    every str is a fixed key, a number's str(), an option's choice or one
+    ints, Fractions and INF.  A number's text is digits, "-" and "/", and
+    every str is a fixed key, a number's text, an option's choice or one
     of the words odd, even and true.
     """
     kind = type(value)
@@ -172,7 +193,9 @@ def _json(value: object) -> str:
         return "{" + ",".join([f'"{key}":{_json(item)}' for key, item in value.items()]) + "}"
     if kind is list or kind is tuple:
         return "[" + ",".join(map(_json, value)) + "]"
-    return f'"{value}"'
+    if kind is str:  # verify's records hold only strs
+        return f'"{value}"'
+    return f'"{_str(value)}"'
 
 
 def _render_json(records: Iterable[dict], command: str) -> None:
@@ -183,7 +206,7 @@ def _render_json(records: Iterable[dict], command: str) -> None:
 
 def _render_assignments(records: Iterable[dict]) -> None:
     for record in records:
-        print("\n".join([f"{key} = {value}" for key, value in record["result"].items()]))
+        print("\n".join([f"{key} = {_str(value)}" for key, value in record["result"].items()]))
 
 
 def _render_cf(records: Iterable[dict]) -> None:
@@ -194,7 +217,9 @@ def _render_cf(records: Iterable[dict]) -> None:
             f"period = [{', '.join(map(str, result['period']))}]",
             f"L = {result['period_length']}",
         ]
-        lines += [f"convergent {c['k']}: {c['p']}/{c['q']}" for c in result["convergents"]]
+        lines += [
+            f"convergent {c['k']}: {_str(c['p'])}/{_str(c['q'])}" for c in result["convergents"]
+        ]
         print("\n".join(lines))
 
 

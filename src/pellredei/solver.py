@@ -11,6 +11,12 @@ One route reaches every solution: a balanced product tree over the half
 period gives convergent L - 1, the period unit, which is the fundamental
 when L is even and squares to it when L is odd; the n-th solution is then
 (x1 + y1*sqrt(d))**n by one integer Redei call in O(log n) products.
+The route is two functions, _fundamental and _power, each with its one
+check.  PellSolver.fundamental and nth_solution wrap their pairs in
+PellSolution objects without checking them again; the CLI's solve runs
+_solution, sqrt_cf and the same two functions, with no object.
+Each looks up _period_unit and _quadratic_power as this module's
+globals, so a fault put there reaches the library and the CLI alike.
 The strategy a request names is a validated label that selects no
 route: every strategy makes the same calls and raises the same errors.
 Neither the sequential convergent walk nor the linear fold's steps call
@@ -21,12 +27,15 @@ to the solution indices, yields the plain tuple (n, num, den, p, q) for
 n = 1, 2, ..., one kernel call each on the product-tree fundamental.
 correspondence_check builds a CorrespondenceReport from one tuple.  The
 CLI's verify runs _verify_records, one pass per radicand that builds no
-solver or solution object: it expands d once, checks the fundamental by
-exact._solves_pell, and compares num*q with den*p for each tuple.  Both
-keep the witness's three parts independent: the sequential walk, a
-kernel call on the product-tree fundamental, and cross-multiplication.
-Every route's answer, the linear fold's too, is checked once as its
-PellSolution is built, by exact._solves_pell; a non-solution raises
+solver or solution object: it expands d once, takes the checked
+fundamental from _fundamental, and compares num*q with den*p for each
+tuple.  Both keep the witness's three parts independent: the sequential
+walk, a kernel call on the product-tree fundamental, and
+cross-multiplication.
+Every answer is checked once, by exact._solves_pell: the fundamental
+before any power is taken from it, so a unit of norm -1 cannot pass as
+its even power, each n-th power as the kernel returns it, and each pair
+of the linear fold as its PellSolution is built.  A non-solution raises
 ConsistencyError (exit 4).  bench checks only the fold's last pair,
 not each step.  Below 2**15 bits of x the check is the plain
 x*x - d*(y*y) == 1; past that it runs in residues modulo pairs
@@ -87,6 +96,14 @@ class PellSolution(_Value):
         if not _solves_pell(x, y, d):
             raise ValueError(f"({_brief(x)}, {_brief(y)}) does not solve x^2 - {_brief(d)}y^2 = 1")
         self.__dict__.update(d=d, n=n, x=x, y=y)
+
+    @classmethod
+    def _trusted(cls, d: int, n: int, x: int, y: int) -> "PellSolution":
+        """The n-th solution (x, y) for d, already checked by the route
+        that made it (_fundamental, _power), so not checked again."""
+        solution = object.__new__(cls)
+        solution.__dict__.update(d=d, n=n, x=x, y=y)
+        return solution
 
     def point(self) -> HyperbolaPoint:
         return HyperbolaPoint(self.d, self.x, self.y)
@@ -163,7 +180,7 @@ class PellSolver:
         for even L it is the minimal solution and for odd L its square,
         one kernel call, is convergent 2L - 1.
         """
-        return self._checked(1, *_fundamental(self.expansion), "the product tree")
+        return PellSolution._trusted(self.d, 1, *_fundamental(self.expansion))
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution (n >= 1), (x1 + y1*sqrt(d))**n.
@@ -180,8 +197,8 @@ class PellSolver:
         self.solution_index(n)
         if n == 1:
             return self.fundamental
-        x, y = _quadratic_power(self.d, self.fundamental.x, self.fundamental.y, n)
-        return self._checked(n, x, y, "the Redei kernel")
+        base = self.fundamental
+        return PellSolution._trusted(self.d, n, *_power(self.d, base.x, base.y, n))
 
     def solutions(self) -> Iterator[PellSolution]:
         """All solutions in increasing order, by repeated composition.
@@ -234,7 +251,7 @@ class PellSolver:
         )
 
     def _checked(self, n: int, x: int, y: int, route: str) -> PellSolution:
-        """(x, y) as the n-th solution: the one exact check of every route."""
+        """(x, y) as the n-th solution, checked as its PellSolution is built."""
         try:
             return PellSolution(self.d, n, x, y)
         except ValueError as exc:
@@ -254,11 +271,45 @@ def _stride(length: int) -> int:
 
 
 def _fundamental(expansion: SqrtExpansion) -> tuple[int, int]:
-    """(x1, y1), unchecked: the period unit, squared when L is odd (see PellSolver.fundamental)."""
-    p, q = _period_unit(expansion)
+    """(x1, y1): the period unit, squared when L is odd (see
+    PellSolver.fundamental), checked positive and on the curve, else
+    ConsistencyError.
+
+    The check runs before any power is taken, so a unit of norm -1 (an
+    odd period unit left unsquared) never reaches the kernel, where an
+    even power would make it a solution.
+    """
+    x1, y1 = _period_unit(expansion)
     if expansion.period_length % 2:
-        p, q = _quadratic_power(expansion.d, p, q, 2)
-    return p, q
+        x1, y1 = _quadratic_power(expansion.d, x1, y1, 2)
+    if x1 < 1 or y1 < 1 or not _solves_pell(x1, y1, expansion.d):
+        raise _non_solution("the product tree", expansion.d, 1)
+    return x1, y1
+
+
+def _power(d: int, x1: int, y1: int, n: int) -> tuple[int, int]:
+    """(x, y), the n-th solution from the checked fundamental (x1, y1).
+
+    At n = 1 it is the fundamental itself.  Otherwise it is one kernel
+    call, (x1 + y1*sqrt(d))**n, and its one check.
+    """
+    if n == 1:
+        return x1, y1
+    x, y = _quadratic_power(d, x1, y1, n)
+    if x < 1 or y < 1 or not _solves_pell(x, y, d):
+        raise _non_solution("the Redei kernel", d, n)
+    return x, y
+
+
+def _solution(d: int, n: int) -> tuple[int, int]:
+    """(x, y), the checked n-th solution for d, for an int n >= 1.
+
+    The CLI's solve in one lean pass: sqrt_cf, the checked fundamental and
+    _power, the route of PellSolver.nth_solution, with no solver or
+    solution object.  A perfect square d raises PerfectSquareError.
+    """
+    expansion = sqrt_cf(d)
+    return _power(expansion.d, *_fundamental(expansion), n)
 
 
 def _witness(
@@ -282,10 +333,10 @@ def _verify_records(d_max: int, n_max: int) -> Iterator[dict]:
     """verify's records: the witness checked at n = 1..n_max for each
     nonsquare d in 2..d_max, one lean pass per radicand.
 
-    Each d is expanded once; its fundamental is checked by _solves_pell,
-    as a PellSolution's would be, and every n is read from one _witness
-    walk, num*q compared with den*p.  No solver or solution object is
-    built, and every leaf of a record is already the str the CLI prints.
+    Each d is expanded once; its fundamental comes checked from
+    _fundamental, and every n is read from one _witness walk, num*q
+    compared with den*p.  No solver or solution object is built, and
+    every leaf of a record is already the str the CLI prints.
     """
     checked = str(n_max)
     for d in range(2, d_max + 1):
@@ -294,8 +345,6 @@ def _verify_records(d_max: int, n_max: int) -> Iterator[dict]:
             continue
         expansion = sqrt_cf(d)
         x1, y1 = _fundamental(expansion)
-        if x1 < 1 or y1 < 1 or not _solves_pell(x1, y1, d):
-            raise _non_solution("the product tree", d, 1)
         for n, num, den, p, q in itertools.islice(_witness(expansion, x1, y1), n_max):
             if num * q != den * p:
                 raise ConsistencyError(

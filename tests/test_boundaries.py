@@ -446,6 +446,41 @@ class TestWrongKernel:
         assert captured.out == ""
         assert "non-solution" in captured.err
 
+    @pytest.mark.parametrize("strategy", ["redei", "power", "cf"])
+    def test_cli_exit_code_4_at_even_period(self, capsys, strategy):
+        # d = 61 has odd L, so the fundamental's square already goes through
+        # the patched kernel.  d = 7 has even L: only the fifth power does,
+        # so a CLI that called the kernel by a name of its own would pass.
+        code = main(["solve", "--d", "7", "--n", "5", "--strategy", strategy])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: the Redei kernel produced a non-solution at d=7, n=5\n"
+
+
+class TestWrongPeriodUnit:
+    """A period unit off the curve is caught by the check of the
+    fundamental, before any power, on the CLI as in the library."""
+
+    @pytest.fixture(autouse=True)
+    def broken_unit(self, monkeypatch):
+        real = solver._period_unit
+
+        def off_by_one(expansion):
+            p, q = real(expansion)
+            return p + 1, q
+
+        monkeypatch.setattr(solver, "_period_unit", off_by_one)
+
+    @pytest.mark.parametrize("n", ["1", "4", "5"])
+    @pytest.mark.parametrize("d", ["7", "61"])
+    def test_cli_exit_code_4(self, capsys, d, n):
+        code = main(["solve", "--d", d, "--n", n])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == f"error: the product tree produced a non-solution at d={d}, n=1\n"
+
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the exact check tests the norm only")
 class TestKernelOneShort:
@@ -580,20 +615,22 @@ class TestUnsquaredOddPeriodUnit:
     def no_square(self, monkeypatch):
         real = solver._quadratic_power
 
-        # At n = 5 the strategies raise to the fifth power, so the only
-        # square asked for is the fundamental's.
+        # At n = 4 and 5 the strategies raise to that power, so the only
+        # square asked for is the fundamental's.  At n = 4 the unit's power
+        # has norm +1: only the check of the fundamental, before the power,
+        # stops it.
         def skip_square(d, a, b, n):
             return (a, b) if n == 2 else real(d, a, b, n)
 
         monkeypatch.setattr(solver, "_quadratic_power", skip_square)
 
-    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("n", [1, 4, 5])
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_library_raises(self, strategy, n):
         with pytest.raises(ConsistencyError, match="non-solution"):
             PellSolver(61).nth_solution(n, strategy)
 
-    @pytest.mark.parametrize("n", ["1", "5"])
+    @pytest.mark.parametrize("n", ["1", "4", "5"])
     @pytest.mark.parametrize("strategy", ["redei", "power", "cf"])
     def test_cli_exit_code_4(self, capsys, strategy, n):
         code = main(["solve", "--d", "61", "--n", n, "--strategy", strategy])

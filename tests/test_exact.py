@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,78 @@ class TestDecimalDigits:
         for bits in range(1, 14001):
             for n in (2 ** (bits - 1), 2**bits - 1):
                 assert decimal_digits(n) == len(str(n)), n.bit_length()
+
+
+def _same_text(v):
+    """exact._decimal_text(v) is str(v), or raises the ValueError str(v) raises."""
+    try:
+        expected = str(v)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            exact._decimal_text(v)
+        assert str(caught.value) == str(exc)
+    else:
+        assert exact._decimal_text(v) == expected, v.bit_length()
+
+
+@pytest.fixture
+def digit_limit():
+    """sys.set_int_max_str_digits, with the limit restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+class TestDecimalText:
+    """exact._decimal_text is str() for every int: str() itself below the
+    cut, a split at cached powers of ten above it, and the same ValueError
+    past the digit limit."""
+
+    def test_small_values(self):
+        for v in (0, 1, -1, 9, 10, -10, 2**64, -(2**64)):
+            assert exact._decimal_text(v) == str(v)
+
+    def test_both_ends_of_every_bit_length_around_the_cut(self):
+        for bits in range(exact._TEXT_CUT - 64, exact._TEXT_CUT + 65):
+            for n in (2 ** (bits - 1), 2**bits - 1):
+                _same_text(n)
+                _same_text(-n)
+
+    @pytest.mark.parametrize("j", range(exact._TEXT_LEVELS))
+    def test_powers_of_ten_at_each_level(self, j):
+        k = exact._TEXT_LEAF << j
+        for n in (10**k - 1, 10**k, 10 ** (2 * k) - 1, 10 ** (k + 1) - 1, 10 ** (k - 1)):
+            _same_text(n)
+            _same_text(-n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 14284).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1)),
+        st.booleans(),
+    )
+    def test_agrees_with_str_up_to_the_limit(self, n, negative):
+        _same_text(-n if negative else n)
+
+    def test_raises_past_a_lowered_limit(self, digit_limit):
+        digit_limit(1000)
+        for v in (10**1000 - 1, 10**1000, 10**1500, -(10**1500), 2**exact._TEXT_CUT):
+            _same_text(v)
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            exact._decimal_text(10**1500)
+        digit_limit(2000)
+        for v in (10**1999, 10**2000 - 1, 10**2000, 2**6642, 2**6645):
+            _same_text(v)
+
+    def test_cache_holds_only_its_levels(self, digit_limit):
+        exact._text_level.cache_clear()
+        for k in range(1, sys.get_int_max_str_digits() + 1):
+            assert exact._decimal_text(10**k - 1) == "9" * k
+        assert exact._text_level.cache_info().currsize == exact._TEXT_LEVELS
+        # Past the last level it is str(), whatever the limit.
+        digit_limit(0)
+        for k in (5000, 7199, 7200, 7201, 20000):
+            assert exact._decimal_text(10**k - 1) == "9" * k
+        assert exact._text_level.cache_info().currsize == exact._TEXT_LEVELS
 
 
 class TestRequireNonsquare:
