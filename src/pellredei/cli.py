@@ -16,12 +16,14 @@ split above.  The rest of the text, counts, indices and cf's partial
 quotients (at most 2*sqrt(d)), is formatted by f-strings.  Numbers are
 quoted in JSON, so huge integers and exact rationals survive any JSON
 parser.  _json writes a record's JSON in one recursive walk that
-dispatches on the exact type of each value.  Each text renderer formats
-the record with f-strings, builds its whole text and prints it once, so
-a number past the int-to-str digit limit raises before any of the
-record's lines print.  solve's one record comes from solver._solution,
-and verify's from solver._verify_records: lean passes that build no
-solver, solution or report object.
+dispatches on the exact type of each value; an int leaf takes one call,
+exact._decimal_text, and a str leaf of a dict none.  Each text renderer
+formats the record with f-strings, builds its whole text and prints it
+once, so a number past the int-to-str digit limit raises before any of
+the record's lines print.  solve's one record comes from solver._solution,
+verify's from solver._verify_records and cf's convergents from the
+plain pairs of contfrac._pairs: lean passes that build no solver,
+solution, report or Convergent object.
 
 A well-formed call is parsed from the command table, _OPTIONS, built
 from _COMMANDS and _FORMAT: argv names a command, and every later token
@@ -46,7 +48,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .contfrac import convergents, sqrt_cf
+from .contfrac import _pairs, sqrt_cf
 from .exact import ConsistencyError, PerfectSquareError, _brief, _decimal_text, decimal_digits
 from .redei import redei_pair_fast
 from .solver import PellSolution, PellSolver, Strategy, _solution, _verify_records
@@ -107,7 +109,7 @@ def _cmd_solve(args: SimpleNamespace) -> Iterator[dict]:
 
 def _cmd_cf(args: SimpleNamespace) -> Iterator[dict]:
     expansion = sqrt_cf(args.d)
-    head = itertools.islice(convergents(expansion), args.terms)
+    head = itertools.islice(_pairs(expansion), args.terms)
     yield {
         "d": args.d,
         "params": {"terms": args.terms},
@@ -115,7 +117,7 @@ def _cmd_cf(args: SimpleNamespace) -> Iterator[dict]:
             "a0": expansion.a0,
             "period": expansion.period,
             "period_length": expansion.period_length,
-            "convergents": [{"k": c.k, "p": c.p, "q": c.q} for c in head],
+            "convergents": [{"k": k, "p": p, "q": q} for k, (p, q) in enumerate(head)],
         },
     }
 
@@ -183,6 +185,8 @@ def _str(value: object) -> str:
 def _json(value: object) -> str:
     """value as compact JSON, each leaf the quoted _str() of the value.
 
+    An int leaf goes straight to exact._decimal_text, and a str leaf of a
+    dict (all of verify's) is written as it is, with no call of its own.
     No escape is needed: a record holds only dicts, lists, tuples, strs,
     ints, Fractions and INF.  A number's text is digits, "-" and "/", and
     every str is a fixed key, a number's text, an option's choice or one
@@ -190,12 +194,13 @@ def _json(value: object) -> str:
     """
     kind = type(value)
     if kind is dict:
-        return "{" + ",".join([f'"{key}":{_json(item)}' for key, item in value.items()]) + "}"
+        return "{" + ",".join([
+            f'"{key}":"{item}"' if type(item) is str else f'"{key}":{_json(item)}'
+            for key, item in value.items()
+        ]) + "}"
     if kind is list or kind is tuple:
         return "[" + ",".join(map(_json, value)) + "]"
-    if kind is str:  # verify's records hold only strs
-        return f'"{value}"'
-    return f'"{_str(value)}"'
+    return f'"{_decimal_text(value) if kind is int else _str(value)}"'
 
 
 def _render_json(records: Iterable[dict], command: str) -> None:

@@ -2,22 +2,24 @@
 
 All arithmetic is on integers.  The expansion is produced by the classical
 surd recurrence on states (m, s), where the k-th complete quotient is
-(m + sqrt(d))/s; s divides d - m**2 at every step, so the division below
-is exact and no irrational value is ever touched.  The recurrence runs
-only to the middle of the period, where the states turn symmetric, and
-the rest of the period is its mirror image.
+(m + sqrt(d))/s; s divides d - m**2 at every step, and the next s is
+taken from the last two states without that division, so no irrational
+value is ever touched.  The recurrence runs only to the middle of the
+period, where the states turn symmetric, and the rest of the period is
+its mirror image.
 
-The convergent stream, nth_convergent and the solver's witness share one
-recurrence, _pairs, which walks the partial quotients one at a time on
-plain ints.  It can stride: _pairs(cf, first, step) yields only the
-pairs at indices first, first + step, ..., running the recurrence over
-the quotients in between in an inner loop, so nth_convergent builds a
-Convergent only for the index asked for, and the witness, which reads
-every stride-th pair, builds none and resumes no generator per skipped
-index.  The walk is quadratic in the size of its output and is kept as
-the plain witness and test oracle.  The solver reads only the period
-unit, convergent L - 1, off the expansion, by solver._period_unit; every
-other solution is its power.
+The convergent stream, nth_convergent, the CLI's cf and the solver's
+witness share one recurrence, _pairs, which walks the period's quotients
+one at a time on plain ints from the state of convergent 0, (a0, 1).
+It can stride: _pairs(cf, first, step) yields only the pairs at indices
+first, first + step, ..., running the recurrence over the quotients in
+between in an inner loop, so nth_convergent builds a Convergent only for
+the index asked for, and the witness, which reads every stride-th pair,
+builds none and resumes no generator per skipped index.  The walk is
+quadratic in the size of its output and is kept as the plain witness
+and test oracle.  The solver reads only the period unit, convergent
+L - 1, off the expansion, by solver._period_unit; every other solution
+is its power.
 """
 
 from __future__ import annotations
@@ -57,13 +59,16 @@ def sqrt_cf(d: int) -> SqrtExpansion:
 
     States step as
 
-        a = (a0 + m) // s,   m' = a*s - m,   s' = (d - m'**2) // s
+        a = (a0 + m) // s,   m' = a*s - m,   s' = s_prev + a*(m - m')
 
-    from state 0, (m, s) = (0, 1), which gives a0 itself.  The period
-    length L is odd, L = 2h + 1, exactly when s_h = s_(h+1) for some
-    h >= 0, and even, L = 2h, exactly when m_h = m_(h+1) for some h >= 1;
-    the first such h is the middle of the period, so only h steps are
-    taken and the quotients a1..ah are mirrored:
+    from state 1, (m, s) = (a0, d - a0**2), after state 0, (0, 1), which
+    gives a0 itself; s_prev is the s of the state before.  s' equals the
+    classical (d - m'**2) // s, but takes no square and no second
+    division.  The period length L is odd, L = 2h + 1, exactly when
+    s_h = s_(h+1) for some h >= 0, and even, L = 2h, exactly when
+    m_h = m_(h+1) for some h >= 1; the first such h is the middle of the
+    period, so only h steps are taken and the quotients a1..ah are
+    mirrored:
 
         odd L:   a1..ah, ah..a1, 2*a0
         even L:  a1..ah, a(h-1)..a1, 2*a0
@@ -77,18 +82,12 @@ def sqrt_cf(d: int) -> SqrtExpansion:
     prev_m, prev_s = 0, 1
     m, s = a0, d - a0 * a0
     half: list[int] = []
-    while True:
-        if s == prev_s:
-            period = half + half[::-1] + [2 * a0]
-            break
-        if m == prev_m:
-            period = half + half[-2::-1] + [2 * a0]
-            break
+    while s != prev_s and m != prev_m:
         a = (a0 + m) // s
         half.append(a)
-        prev_m, prev_s = m, s
-        m = a * s - m
-        s = (d - m * m) // prev_s
+        prev_m, m = m, a * s - m
+        prev_s, s = s, prev_s + a * (prev_m - m)
+    period = half + (half[::-1] if s == prev_s else half[-2::-1]) + [2 * a0]
     if (a0 + m) // s != period[len(half)]:
         raise ConsistencyError(f"period of sqrt({_brief(d)}) is not symmetric about its middle")
     return SqrtExpansion(d, a0, tuple(period))
@@ -110,15 +109,15 @@ class Convergent(_Value):
 def _pairs(cf: SqrtExpansion, first: int = 0, step: int = 1) -> Iterator[tuple[int, int]]:
     """Unbounded stream of (p_k, q_k), k = first, first + step, ..., on plain ints.
 
-    p_k = a_k*p_{k-1} + p_{k-2} and likewise for q, with the usual seeds.
+    p_k = a_k*p_{k-1} + p_{k-2} and likewise for q, from convergent 0,
+    (p, p_prev, q, q_prev) = (a0, 1, 1, 0), over the period repeated.
     Every quotient passes through the recurrence, but only the pairs at
     the requested indices are yielded: the inner loop takes each run of
     quotients by islice from one shared iterator.  first >= 0, step >= 1.
     """
-    p, p_prev = 1, 0
-    q, q_prev = 0, 1
-    quotients = cf.partial_quotients()
-    run = first + 1
+    p, p_prev, q, q_prev = cf.a0, 1, 1, 0
+    quotients = itertools.cycle(cf.period)
+    run = first
     while True:
         for a in itertools.islice(quotients, run):
             p, p_prev = a * p + p_prev, p

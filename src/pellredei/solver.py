@@ -22,16 +22,16 @@ route: every strategy makes the same calls and raises the same errors.
 Neither the sequential convergent walk nor the linear fold's steps call
 the kernel: the walk is the independent witness, checked against the
 paper's Redei value, and the fold is what bench times the kernel against.
-The witness is one function, _witness: one convergent stream, strided
-to the solution indices, yields the plain tuple (n, num, den, p, q) for
-n = 1, 2, ..., one kernel call each on the product-tree fundamental.
-correspondence_check builds a CorrespondenceReport from one tuple.  The
-CLI's verify runs _verify_records, one pass per radicand that builds no
-solver or solution object: it expands d once, takes the checked
-fundamental from _fundamental, and compares num*q with den*p for each
-tuple.  Both keep the witness's three parts independent: the sequential
-walk, a kernel call on the product-tree fundamental, and
-cross-multiplication.
+The witness at n is convergent n*stride - 1 of the walk, contfrac._pairs,
+against one kernel call on the product-tree fundamental, the Redei value
+num/den.  correspondence_check reads one pair off a walk started at its
+index and builds a CorrespondenceReport.  The CLI's verify runs
+_verify_records, one pass per radicand that builds no solver, solution
+or tuple per n: it expands d once, takes the checked fundamental from
+_fundamental, opens one walk strided to the solution indices, and
+compares num*q with den*p for n = 1..n_max.  Both keep the witness's
+three parts independent: the sequential walk, a kernel call on the
+product-tree fundamental, and cross-multiplication.
 Every answer is checked once, by exact._solves_pell: the fundamental
 before any power is taken from it, so a unit of norm -1 cannot pass as
 its even power, each n-th power as the kernel returns it, and each pair
@@ -47,7 +47,6 @@ passes it.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Iterator, Sequence
 from enum import Enum
@@ -230,13 +229,14 @@ class PellSolver:
         cleared.  Both sides equal x_n/y_n, reduced; the report records
         the raw values so a mismatch is inspectable.  The convergent comes
         from the sequential walk, independent of every solution route.
-        n is checked by solution_index before any work; the report is built
-        from the first tuple of _witness started at n, so one call walks
+        n is checked by solution_index before any work; one call walks
         once to its index and makes one kernel call.
         """
+        n = operator.index(n)
         index = self.solution_index(n)
         base = self.fundamental
-        n, num, den, p, q = next(_witness(self.expansion, base.x, base.y, n))
+        p, q = next(_pairs(self.expansion, index))
+        num, den = _quadratic_power(self.d, 1 + base.x, base.y, 2 * n)
         return CorrespondenceReport(
             d=self.d,
             n=n,
@@ -312,31 +312,16 @@ def _solution(d: int, n: int) -> tuple[int, int]:
     return _power(expansion.d, *_fundamental(expansion), n)
 
 
-def _witness(
-    expansion: SqrtExpansion, x1: int, y1: int, first: int = 1
-) -> Iterator[tuple[int, int, int, int, int]]:
-    """(n, num, den, p, q) for n = first, first + 1, ..., from one walk.
-
-    (x1, y1) is the checked fundamental, so y1 >= 1 and the slope
-    (1 + x1)/y1 is finite.  num/den is the 2n-th Redei value at the
-    slope, one kernel call per n, and p/q is convergent n*stride - 1,
-    read off one convergent stream strided to those indices.
-    """
-    stride = _stride(expansion.period_length)
-    walk = _pairs(expansion, first * stride - 1, stride)
-    for n, (p, q) in enumerate(walk, first):
-        num, den = _quadratic_power(expansion.d, 1 + x1, y1, 2 * n)
-        yield n, num, den, p, q
-
-
 def _verify_records(d_max: int, n_max: int) -> Iterator[dict]:
     """verify's records: the witness checked at n = 1..n_max for each
     nonsquare d in 2..d_max, one lean pass per radicand.
 
-    Each d is expanded once; its fundamental comes checked from
-    _fundamental, and every n is read from one _witness walk, num*q
-    compared with den*p.  No solver or solution object is built, and
-    every leaf of a record is already the str the CLI prints.
+    Each d is expanded once; its fundamental (x1, y1) comes checked from
+    _fundamental, so the slope (1 + x1)/y1 is finite.  Convergent
+    n*stride - 1 is read from one walk strided to those indices, and
+    num/den, the 2n-th Redei value at the slope, from one kernel call;
+    num*q is compared with den*p.  No solver, solution or tuple per n is
+    built, and every leaf of a record is already the str the CLI prints.
     """
     checked = str(n_max)
     for d in range(2, d_max + 1):
@@ -345,13 +330,15 @@ def _verify_records(d_max: int, n_max: int) -> Iterator[dict]:
             continue
         expansion = sqrt_cf(d)
         x1, y1 = _fundamental(expansion)
-        for n, num, den, p, q in itertools.islice(_witness(expansion, x1, y1), n_max):
+        length = expansion.period_length
+        stride = _stride(length)
+        for n, (p, q) in zip(range(1, n_max + 1), _pairs(expansion, stride - 1, stride)):
+            num, den = _quadratic_power(d, 1 + x1, y1, 2 * n)
             if num * q != den * p:
                 raise ConsistencyError(
                     f"Redei value != convergent at d={d}, n={n}: "
                     f"{_brief(Fraction(num, den))} vs {_brief(Fraction(p, q))}"
                 )
-        length = expansion.period_length
         yield {
             "d": str(d),
             "params": {"n_max": checked},

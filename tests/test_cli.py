@@ -283,14 +283,14 @@ class TestVerify:
         assert code == 0
         if fmt == "text":
             before = before.replace("checked 4 radicands, all consistent\n", "")
-        real = solver_module._witness
+        real = solver_module._quadratic_power
 
-        def wrong_at_7(expansion, x1, y1, first=1):
+        def wrong_at_7(d, x, y, n):
             # At d = 7 the Redei value 8/3 is read as 11/3.
-            for n, num, den, p, q in real(expansion, x1, y1, first):
-                yield n, num + den if expansion.d == 7 else num, den, p, q
+            num, den = real(d, x, y, n)
+            return (num + den, den) if d == 7 else (num, den)
 
-        monkeypatch.setattr(solver_module, "_witness", wrong_at_7)
+        monkeypatch.setattr(solver_module, "_quadratic_power", wrong_at_7)
         code, out, err = run(capsys, "verify", "--d-max", "20", "--n-max", "2", "--format", fmt)
         assert code == 4
         assert err == "error: Redei value != convergent at d=7, n=1: 11/3 vs 8/3\n"

@@ -338,10 +338,12 @@ class TestCorrespondence:
                 continue
             solver = PellSolver(d)
             base = solver.fundamental
-            streamed = list(itertools.islice(solver_module._witness(solver.expansion, base.x, base.y), 10))
-            for n, witness in enumerate(streamed, 1):
+            stride = solver_module._stride(solver.period_length)
+            walk = solver_module._pairs(solver.expansion, stride - 1, stride)
+            for n, (p, q) in enumerate(itertools.islice(walk, 10), 1):
+                num, den = _quadratic_power(d, 1 + base.x, base.y, 2 * n)
                 report = correspondence_check(d, n)
-                assert witness == (
+                assert (n, num, den, p, q) == (
                     report.n, report.redei_num, report.redei_den,
                     report.convergent_p, report.convergent_q,
                 )
