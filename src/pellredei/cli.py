@@ -149,7 +149,8 @@ def _cmd_bench(args: SimpleNamespace) -> Iterator[dict]:
         x, y = next(itertools.islice(solver._fold(), n - 1, None))
         return solver._checked(n, x, y, "the linear fold")
 
-    # Both sides check their one answer once, inside the timed region.
+    # Both sides test their one answer once, inside the timed region: the
+    # fold's by the exact check, the power's by its half power's norm.
     linear, linear_ns = _median_time_ns(linear_fold, args.reps)
     # Every strategy runs this same kernel call.
     redei, redei_ns = _median_time_ns(lambda: solver.nth_solution(n, Strategy.REDEI), args.reps)

@@ -17,8 +17,11 @@ slot takes operator.index of its value instead, so an integer-like value
 arithmetic, such as a fixed-width product that wraps, reaches a check.
 
 _solves_pell is the one exact check of the Pell curve, x**2 - d*y**2 ==
-w**2: every PellSolution passes it with w = 1, and every HyperbolaPoint
-on its coordinates cleared by w, the denominator of y.  Below 2**15 bits
+w**2: with w = 1 it checks each fundamental solution and each
+PellSolution built unchecked from its parts, such as the linear fold's;
+an n-th power of a checked fundamental is proved instead, by solver._power
+from its half power's norm.  Every HyperbolaPoint passes it on its
+coordinates cleared by w, the denominator of y.  Below 2**15 bits
 of x it is the plain expression.  Above, it tests R = x**2 - d*y**2 - w**2
 modulo the pair 2**s - 1 and 2**s + 1 for a run of primes s whose sum of
 2*s - 3 exceeds the bits of |R|: these moduli are pairwise coprime but

@@ -11,7 +11,7 @@ integer square-and-multiply kernel on the point with its common
 denominator w cleared, X + Y*sqrt(d) = w*(x + y*sqrt(d)), then divided
 by w**n, so exponentiation is logarithmic, and the curve is checked
 once, on the result.  Every point is checked by exact._solves_pell, the
-check every Pell solution passes, on integers: X**2 - d*Y**2 == w**2
+one exact check of the Pell curve, on integers: X**2 - d*Y**2 == w**2
 with X = w*x and Y = w*y for w the denominator of y, which on the curve
 is the lcm of both denominators, so no Fraction arithmetic runs a gcd.
 An integer point has w = 1.

@@ -32,17 +32,20 @@ _fundamental, opens one walk strided to the solution indices, and
 compares num*q with den*p for n = 1..n_max.  Both keep the witness's
 three parts independent: the sequential walk, a kernel call on the
 product-tree fundamental, and cross-multiplication.
-Every answer is checked once, by exact._solves_pell: the fundamental
-before any power is taken from it, so a unit of norm -1 cannot pass as
-its even power, each n-th power as the kernel returns it, and each pair
-of the linear fold as its PellSolution is built.  A non-solution raises
-ConsistencyError (exit 4).  bench checks only the fold's last pair,
-not each step.  Below 2**15 bits of x the check is the plain
+Every answer is tested once.  exact._solves_pell checks the
+fundamental before any power is taken from it, so a unit of norm -1
+cannot pass as its even power, and each pair of the linear fold as its
+PellSolution is built; bench checks only the fold's last pair, not each
+step.  Below 2**15 bits of x that check is the plain
 x*x - d*(y*y) == 1; past that it runs in residues modulo pairs
-2**s - 1, 2**s + 1 whose lcm exceeds the identity's size, still exact,
-so checking a large n-th power squares no full-size number.
-The check tests the norm only: a wrong solution, such as the (n-1)-th,
-passes it.
+2**s - 1, 2**s + 1 whose lcm exceeds the identity's size, still exact.
+An n-th power (n >= 2) is proved, not tested: _power takes the kernel's
+half power (n >> 1), tests its norm on the squares of the last
+doubling, which it does itself, and the norm's multiplicativity carries
+that test and the fundamental's to the answer, so no full-size number
+is squared.  A non-solution raises ConsistencyError (exit 4).
+Both test the norm only: a wrong solution, such as the (n-1)-th,
+passes them.
 """
 
 from __future__ import annotations
@@ -290,14 +293,33 @@ def _fundamental(expansion: SqrtExpansion) -> tuple[int, int]:
 def _power(d: int, x1: int, y1: int, n: int) -> tuple[int, int]:
     """(x, y), the n-th solution from the checked fundamental (x1, y1).
 
-    At n = 1 it is the fundamental itself.  Otherwise it is one kernel
-    call, (x1 + y1*sqrt(d))**n, and its one check.
+    At n = 1 it is the fundamental itself.  Otherwise one kernel call
+    gives the half power X + Y*sqrt(d) = (x1 + y1*sqrt(d))**(n >> 1),
+    and the last doubling is done here on the real squares xx = X*X and
+    yy = Y*Y, which also test the half power: unless X >= 1, Y >= 1 and
+    xx - d*yy == 1 it raises ConsistencyError.  When n is odd, one step
+    by the fundamental follows.
+
+    Why the answer then needs no check of its own: the norm
+    N(x, y) = x**2 - d*y**2 is multiplicative, N(u*v) = N(u)*N(v) in
+    Z[sqrt(d)].  The doubled pair, (xx + d*yy, 2*X*Y), is
+    (X + Y*sqrt(d))**2, so its norm is N(X, Y)**2 = 1, and both its
+    parts are >= 1 since X, Y >= 1.  (x1, y1) was checked by
+    _fundamental, x1, y1 >= 1 and N(x1, y1) = 1, so the odd step's
+    product has norm 1 * 1 and positive parts too.  So the answer is a
+    positive solution, shown by an exact test on the half power's squares,
+    which the doubling uses, and no full-size number is squared.  As with
+    any norm test, a wrong power of the fundamental would pass it.
     """
     if n == 1:
         return x1, y1
-    x, y = _quadratic_power(d, x1, y1, n)
-    if x < 1 or y < 1 or not _solves_pell(x, y, d):
+    x, y = _quadratic_power(d, x1, y1, n >> 1)
+    xx, yy = x * x, y * y
+    if x < 1 or y < 1 or xx - d * yy != 1:
         raise _non_solution("the Redei kernel", d, n)
+    x, y = xx + d * yy, (x + y) ** 2 - xx - yy
+    if n & 1:
+        x, y = x1 * x + d * y1 * y, y1 * x + x1 * y
     return x, y
 
 

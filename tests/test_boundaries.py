@@ -484,18 +484,21 @@ class TestWrongPeriodUnit:
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the exact check tests the norm only")
 class TestKernelOneShort:
-    """A kernel that raises to n - 1 returns a solution, the wrong one, and
-    the exact check, plain or in residues, passes it: solve prints the
-    second solution as the third with exit 0.  Pinning the index as well as
-    the norm would catch it.  d = 7 has even period length, so its
-    fundamental makes no kernel call."""
+    """A kernel that raises to m - 1 returns a solution, the wrong one.  At
+    n = 5 solve asks it for the half power m = 2 and gets the fundamental,
+    which passes the norm test on the last doubling's squares; the doubling
+    and the odd step then make the third solution, and solve prints it as
+    the fifth with exit 0.  Pinning the index as well as the norm would
+    catch it.  d = 7 has even period length, so its fundamental makes no
+    kernel call.  (At n = 3 the half power is power 0, (1, 0), which the
+    test refuses: test_solver.TestPowerRoute pins that.)"""
 
     @pytest.fixture(autouse=True)
     def one_short(self, monkeypatch):
         _kernel_one_short(monkeypatch)
 
     def test_cli_exit_code_4(self, capsys):
-        code = main(["solve", "--d", "7", "--n", "3"])
+        code = main(["solve", "--d", "7", "--n", "5"])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""

@@ -212,19 +212,27 @@ class TestBench:
 
     @pytest.mark.parametrize("n_max", [2, 40, 400])
     def test_checks_do_not_grow_with_n_max(self, capsys, monkeypatch, n_max):
-        # The fundamental once, then one answer per side and rep; the fold's
-        # steps are not checked.
-        calls = []
-        real = solver_module._solves_pell
+        # _solves_pell checks the fundamental once, then the fold's answer
+        # once per rep; the fold's steps are not checked.  The redei side's
+        # answer is proved by _power's one norm test per rep, on its half
+        # power, and not checked again.
+        checks, powers = [], []
+        real_check, real_power = solver_module._solves_pell, solver_module._power
 
-        def counted(x, y, d):
-            calls.append(d)
-            return real(x, y, d)
+        def counted_check(x, y, d):
+            checks.append(d)
+            return real_check(x, y, d)
 
-        monkeypatch.setattr(solver_module, "_solves_pell", counted)
+        def counted_power(d, x1, y1, n):
+            powers.append(n)
+            return real_power(d, x1, y1, n)
+
+        monkeypatch.setattr(solver_module, "_solves_pell", counted_check)
+        monkeypatch.setattr(solver_module, "_power", counted_power)
         code, _, _ = run(capsys, "bench", "--d", "61", "--n-max", str(n_max), "--reps", "3")
         assert code == 0
-        assert len(calls) == 1 + 2 * 3
+        assert len(checks) == 1 + 3
+        assert powers == [n_max] * 3
 
     def test_detects_a_fold_one_step_ahead(self, capsys, monkeypatch):
         # Every pair of this fold solves the equation; only the redei side

@@ -26,8 +26,9 @@ from pellredei import (
     sqrt_cf,
 )
 from pellredei import solver as solver_module
+from pellredei.cli import main
 from pellredei.redei import _quadratic_power
-from pellredei.solver import _period_unit
+from pellredei.solver import _fundamental, _period_unit
 
 
 class TestPellSolution:
@@ -202,6 +203,65 @@ def test_strategy_is_a_label(monkeypatch, d, n):
         messages.add(str(caught.value))
     assert len(runs) == 1 and runs.pop()[0]
     assert len(messages) == 1, messages
+
+
+class TestPowerRoute:
+    """_power takes the kernel's half power, tests its norm on the last
+    doubling's squares, doubles it and steps once when n is odd; the
+    answer must be the kernel's own n-th power."""
+
+    @staticmethod
+    def _both(d, ns):
+        x1, y1 = _fundamental(sqrt_cf(d))
+        for n in ns:
+            assert solver_module._power(d, x1, y1, n) == _quadratic_power(d, x1, y1, n), (d, n)
+
+    # L = 1, 4, 5, 11 and 60: odd and even period lengths.
+    @pytest.mark.parametrize("d", [2, 7, 13, 61, 991])
+    def test_matches_the_kernel_up_to_130(self, d):
+        self._both(d, range(1, 131))
+
+    def test_matches_the_kernel_where_the_half_power_crosses_2_15_bits(self):
+        # At d = 61 the half power of n = 2067 has 32764 bits and of n = 2068
+        # 32796; the answer crosses 2**16 bits at n = 2067.
+        self._both(61, range(2066, 2071))
+
+    def test_matches_the_kernel_past_2_16_bits_of_the_half_power(self):
+        # The half power has 65593 bits, the answer 131217.
+        self._both(61, [4137])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(lambda x, y: (x + 1, y), id="off-the-curve"),
+            pytest.param(lambda x, y: (-x, y), id="negative-x"),
+            pytest.param(lambda x, y: (x, -y), id="negative-y"),
+        ],
+    )
+    def test_a_bad_half_power_exits_4(self, capsys, monkeypatch, fault, n):
+        # d = 7 has even L, so only the half power goes through the patched
+        # kernel.  (-x, y) and (x, -y) have norm one: only the signs refuse them.
+        monkeypatch.setattr(
+            solver_module, "_quadratic_power", lambda d, a, b, m: fault(*_quadratic_power(d, a, b, m))
+        )
+        code = main(["solve", "--d", "7", "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == f"error: the Redei kernel produced a non-solution at d=7, n={n}\n"
+
+    def test_a_one_short_kernel_at_n_3_exits_4(self, capsys, monkeypatch):
+        # The half power of n = 3 is power 1; one short, it is power 0,
+        # (1, 0), of norm one, and Y >= 1 refuses it.
+        monkeypatch.setattr(
+            solver_module, "_quadratic_power", lambda d, a, b, m: _quadratic_power(d, a, b, m - 1)
+        )
+        code = main(["solve", "--d", "7", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: the Redei kernel produced a non-solution at d=7, n=3\n"
 
 
 def test_period_power_matches_convergent_walk():
