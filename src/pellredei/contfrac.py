@@ -17,9 +17,11 @@ between in an inner loop, so nth_convergent builds a Convergent only for
 the index asked for, and the witness, which reads every stride-th pair,
 builds none and resumes no generator per skipped index.  The walk is
 quadratic in the size of its output and is kept as the plain witness
-and test oracle.  The solver reads only the period unit, convergent
-L - 1, off the expansion, by solver._period_unit; every other solution
-is its power.
+and test oracle.  The solver reads only two half-period convergents
+off the expansion, by solver._half_period, and s_h, the surd
+denominator at the period's middle, which _expand returns beside the
+expansion; it makes the fundamental from them, and every other
+solution is the fundamental's power.
 """
 
 from __future__ import annotations
@@ -55,7 +57,13 @@ class SqrtExpansion(_Value):
 
 
 def sqrt_cf(d: int) -> SqrtExpansion:
-    """Expand sqrt(d) for a positive nonsquare integer d.
+    """Expand sqrt(d) for a positive nonsquare integer d: one period, by
+    the surd recurrence run to the middle of the period (_expand)."""
+    return _expand(d)[0]
+
+
+def _expand(d: int) -> tuple[SqrtExpansion, int]:
+    """(sqrt_cf(d), s_h): the expansion, and s at the middle of the period.
 
     States step as
 
@@ -76,6 +84,11 @@ def sqrt_cf(d: int) -> SqrtExpansion:
     L = 1 (d = a0**2 + 1) is the odd case h = 0, as s_0 = s_1 = 1.  One
     step past the middle must give the mirrored quotient there, or
     ConsistencyError is raised.
+
+    s_h is the prev_s the loop exits with.  It is the surd denominator
+    Q_h that solver._fundamental tests the half-period convergents
+    against, on their norm, so it comes from this recurrence and not
+    from the convergents.
     """
     d = require_nonsquare(d)
     a0 = isqrt(d)
@@ -90,7 +103,7 @@ def sqrt_cf(d: int) -> SqrtExpansion:
     period = half + (half[::-1] if s == prev_s else half[-2::-1]) + [2 * a0]
     if (a0 + m) // s != period[len(half)]:
         raise ConsistencyError(f"period of sqrt({_brief(d)}) is not symmetric about its middle")
-    return SqrtExpansion(d, a0, tuple(period))
+    return SqrtExpansion(d, a0, tuple(period)), prev_s
 
 
 class Convergent(_Value):

@@ -17,16 +17,18 @@ slot takes operator.index of its value instead, so an integer-like value
 arithmetic, such as a fixed-width product that wraps, reaches a check.
 
 _solves_pell is the one exact check of the Pell curve, x**2 - d*y**2 ==
-w**2: with w = 1 it checks each fundamental solution and each
-PellSolution built unchecked from its parts, such as the linear fold's;
-an n-th power of a checked fundamental is proved instead, by solver._power
-from its half power's norm.  Every HyperbolaPoint passes it on its
-coordinates cleared by w, the denominator of y.  Below 2**15 bits
-of x it is the plain expression.  Above, it tests R = x**2 - d*y**2 - w**2
-modulo the pair 2**s - 1 and 2**s + 1 for a run of primes s whose sum of
-2*s - 3 exceeds the bits of |R|: these moduli are pairwise coprime but
-for a common factor 3 among the 2**s + 1, so their lcm exceeds |R|, R
-vanishes modulo all of them only if R = 0, and the test stays exact.
+w**2: with w = 1 it checks each PellSolution built unchecked from its
+parts, such as the linear fold's.  The solver's own answers are proved
+instead, from the norms of half-size numbers: each fundamental solution
+by solver._fundamental from its half-period convergents, and each n-th
+power by solver._power from its half power.  Every HyperbolaPoint
+passes it on its coordinates cleared by w, the denominator of y.  Below
+2**15 bits of x it is the plain expression.  Above, it tests
+R = x**2 - d*y**2 - w**2 modulo the pair 2**s - 1 and 2**s + 1 for a run
+of primes s whose sum of 2*s - 3 exceeds the bits of |R|: these moduli
+are pairwise coprime but for a common factor 3 among the 2**s + 1, so
+their lcm exceeds |R|, R vanishes modulo all of them only if R = 0, and
+the test stays exact.
 One fold of each of x, y, d and w to 2**(2*s) - 1 serves both moduli of
 a pair, since 2**(2*s) - 1 = (2**s - 1)*(2**s + 1), and a value below
 2**s - 1 (w = 1, a small d) is its own residue and needs none.  A fold

@@ -8,15 +8,17 @@ The solution set is the cyclic group generated by the minimal solution
 power (x1 + y1*sqrt(d))**n.
 
 One route reaches every solution: a balanced product tree over the half
-period gives convergent L - 1, the period unit, which is the fundamental
-when L is even and squares to it when L is odd; the n-th solution is then
+period gives two half-size convergents, from which the midpoint formulas
+make convergent L - 1, the period unit, which is the fundamental when L
+is even and squares to it when L is odd; the n-th solution is then
 (x1 + y1*sqrt(d))**n by one integer Redei call in O(log n) products.
 The route is two functions, _fundamental and _power, each with its one
-check.  PellSolver.fundamental and nth_solution wrap their pairs in
+proof.  PellSolver.fundamental and nth_solution wrap their pairs in
 PellSolution objects without checking them again; the CLI's solve runs
-_solution, sqrt_cf and the same two functions, with no object.
-Each looks up _period_unit and _quadratic_power as this module's
-globals, so a fault put there reaches the library and the CLI alike.
+_solution: contfrac._expand and the same two functions, with no object.
+Each looks up _expand, _half_period and _quadratic_power as this
+module's globals, so a fault put there reaches the library and the CLI
+alike.
 The strategy a request names is a validated label that selects no
 route: every strategy makes the same calls and raises the same errors.
 Neither the sequential convergent walk nor the linear fold's steps call
@@ -27,25 +29,28 @@ against one kernel call on the product-tree fundamental, the Redei value
 num/den.  correspondence_check reads one pair off a walk started at its
 index and builds a CorrespondenceReport.  The CLI's verify runs
 _verify_records, one pass per radicand that builds no solver, solution
-or tuple per n: it expands d once, takes the checked fundamental from
+or tuple per n: it expands d once, takes the proved fundamental from
 _fundamental, opens one walk strided to the solution indices, and
 compares num*q with den*p for n = 1..n_max.  Both keep the witness's
 three parts independent: the sequential walk, a kernel call on the
 product-tree fundamental, and cross-multiplication.
-Every answer is tested once.  exact._solves_pell checks the
-fundamental before any power is taken from it, so a unit of norm -1
-cannot pass as its even power, and each pair of the linear fold as its
+Every answer is tested once, and the route's answers are proved, not
+checked, so no full-size number is squared.  _fundamental tests the
+half-period convergents' norms against Q_h, the surd denominator that
+sqrt_cf's own recurrence reaches at the period's middle, and the period
+unit's against -1 at odd L, each on the squares the fundamental is made
+of, before any power is taken from it, so a unit of norm -1 cannot pass
+as its even power.  An n-th power (n >= 2) is proved the same way:
+_power takes the kernel's half power (n >> 1), tests its norm on the
+squares of the last doubling, which it does itself, and the norm's
+multiplicativity carries that test and the fundamental's to the answer.
+exact._solves_pell checks each pair of the linear fold as its
 PellSolution is built; bench checks only the fold's last pair, not each
 step.  Below 2**15 bits of x that check is the plain
 x*x - d*(y*y) == 1; past that it runs in residues modulo pairs
 2**s - 1, 2**s + 1 whose lcm exceeds the identity's size, still exact.
-An n-th power (n >= 2) is proved, not tested: _power takes the kernel's
-half power (n >> 1), tests its norm on the squares of the last
-doubling, which it does itself, and the norm's multiplicativity carries
-that test and the fundamental's to the answer, so no full-size number
-is squared.  A non-solution raises ConsistencyError (exit 4).
-Both test the norm only: a wrong solution, such as the (n-1)-th,
-passes them.
+A non-solution raises ConsistencyError (exit 4).  All of these test
+the norm only: a wrong solution, such as the (n-1)-th, passes them.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .contfrac import SqrtExpansion, _pairs, sqrt_cf
+from .contfrac import SqrtExpansion, _expand, _pairs
 from .exact import ConsistencyError, _brief, _solves_pell, _Value, isqrt, require_nonsquare
 from .hyperbola import HyperbolaPoint
 from .redei import _quadratic_power
@@ -101,7 +106,7 @@ class PellSolution(_Value):
 
     @classmethod
     def _trusted(cls, d: int, n: int, x: int, y: int) -> "PellSolution":
-        """The n-th solution (x, y) for d, already checked by the route
+        """The n-th solution (x, y) for d, already proved by the route
         that made it (_fundamental, _power), so not checked again."""
         solution = object.__new__(cls)
         solution.__dict__.update(d=d, n=n, x=x, y=y)
@@ -147,7 +152,8 @@ class PellSolver:
     """All solution machinery for one radicand d."""
 
     def __init__(self, d: int) -> None:
-        self.expansion: SqrtExpansion = sqrt_cf(d)
+        self.expansion: SqrtExpansion
+        self.expansion, self._middle = _expand(d)
         self.d = self.expansion.d
 
     @property
@@ -179,10 +185,11 @@ class PellSolver:
         """The minimal solution: the period unit, squared when L is odd.
 
         The unit p + q*sqrt(d) is convergent L - 1, of norm (-1)**L, so
-        for even L it is the minimal solution and for odd L its square,
-        one kernel call, is convergent 2L - 1.
+        for even L it is the minimal solution and for odd L its square is
+        convergent 2L - 1.  Both are made from half-period convergents
+        and proved by their norms (_fundamental).
         """
-        return PellSolution._trusted(self.d, 1, *_fundamental(self.expansion))
+        return PellSolution._trusted(self.d, 1, *_fundamental(self.expansion, self._middle))
 
     def nth_solution(self, n: int, strategy: Strategy = Strategy.REDEI) -> PellSolution:
         """The n-th solution (n >= 1), (x1 + y1*sqrt(d))**n.
@@ -273,29 +280,74 @@ def _stride(length: int) -> int:
     return length if length % 2 == 0 else 2 * length
 
 
-def _fundamental(expansion: SqrtExpansion) -> tuple[int, int]:
-    """(x1, y1): the period unit, squared when L is odd (see
-    PellSolver.fundamental), checked positive and on the curve, else
-    ConsistencyError.
+def _fundamental(expansion: SqrtExpansion, middle: int) -> tuple[int, int]:
+    """(x1, y1), the minimal solution, made from _half_period's convergents
+    and middle, the Q_h that _expand hands over, and proved by their norms;
+    a failed test raises ConsistencyError.
 
-    The check runs before any power is taken, so a unit of norm -1 (an
-    odd period unit left unsquared) never reaches the kernel, where an
-    even power would make it a solution.
+    Notation: p_k/q_k are the convergents of sqrt(d), N(x, y) is the norm
+    x**2 - d*y**2, multiplicative in Z[sqrt(d)], and Q_k the surd
+    denominators, with N(p_(k-1), q_(k-1)) = (-1)**k * Q_k.  The midpoint
+    formulas (Jacobson & Williams, Solving the Pell Equation, 2009) give
+    the period unit, convergent L - 1, from half-size convergents:
+
+    - Even L = 2h: alpha = p_(h-1) + q_(h-1)*sqrt(d), and the unit, which
+      is the fundamental, is alpha**2 / Q_h.  The route tests p, q >= 1
+      and N(alpha) == (-1)**h * Q_h on the squares p*p and q*q that
+      alpha**2 is made of, then divides both parts of alpha**2 by Q_h and
+      tests that both remainders are 0.  So the quotient is in Z[sqrt(d)],
+      its parts are >= 1, and its norm is N(alpha)**2 / Q_h**2 = 1.
+    - Odd L = 2h + 1: beta = p_h + q_h*sqrt(d) has norm
+      (-1)**(h + 1) * Q_h, which is tested on p*p and q*q, and the unit is
+      (p_h*q_h + p_(h-1)*q_(h-1), q_h**2 + q_(h-1)**2), of norm -1.  The
+      route tests its parts >= 1 and its norm == -1 on its squares, and
+      the fundamental is its square: norm (-1)**2 = 1, parts >= 1.  Only
+      the test on beta reads Q_h: the unit's proof does not need it, but
+      it holds the tree to sqrt_cf's middle state, which a tree one
+      period late at odd L fails.  L = 1 is h = 0, with
+      (p_(-1), q_(-1)) = (1, 0) and Q_0 = 1.
+
+    Every test is exact and compares the tree with sqrt_cf's surd
+    recurrence or with -1, and no full-size number is squared: the largest
+    squares are those of alpha or the unit, half the fundamental's size.
+    The fundamental is proved before any power is taken from it, so a
+    unit of norm -1 never reaches the kernel, where an even power would
+    make it a solution.  As with any norm test, a wrong unit of the right
+    norm, such as a power of the fundamental, passes.
     """
-    x1, y1 = _period_unit(expansion)
-    if expansion.period_length % 2:
-        x1, y1 = _quadratic_power(expansion.d, x1, y1, 2)
-    if x1 < 1 or y1 < 1 or not _solves_pell(x1, y1, expansion.d):
-        raise _non_solution("the product tree", expansion.d, 1)
-    return x1, y1
+    d, length = expansion.d, expansion.period_length
+    p, q, r, t = _half_period(expansion)
+    h = length // 2
+    if length % 2:
+        qq = q * q
+        if p * p - d * qq != (middle if h % 2 else -middle):
+            raise _non_solution("the product tree", d, 1)
+        return _doubled(d, p * q + r * t, qq + t * t, -1, "the product tree", 1)
+    x, y = _doubled(d, p, q, -middle if h % 2 else middle, "the product tree", 1)
+    x, x_rest = divmod(x, middle)
+    y, y_rest = divmod(y, middle)
+    if x_rest or y_rest:
+        raise _non_solution("the product tree", d, 1)
+    return x, y
+
+
+def _doubled(d: int, x: int, y: int, norm: int, route: str, n: int) -> tuple[int, int]:
+    """(x + y*sqrt(d))**2 = (xx + d*yy, 2*x*y), made on the real squares
+    xx = x*x and yy = y*y, which first test the base: unless x >= 1,
+    y >= 1 and xx - d*yy == norm it raises ConsistencyError, as route's
+    non-solution at d, n."""
+    xx, yy = x * x, y * y
+    if x < 1 or y < 1 or xx - d * yy != norm:
+        raise _non_solution(route, d, n)
+    return xx + d * yy, (x + y) ** 2 - xx - yy
 
 
 def _power(d: int, x1: int, y1: int, n: int) -> tuple[int, int]:
-    """(x, y), the n-th solution from the checked fundamental (x1, y1).
+    """(x, y), the n-th solution from the proved fundamental (x1, y1).
 
     At n = 1 it is the fundamental itself.  Otherwise one kernel call
     gives the half power X + Y*sqrt(d) = (x1 + y1*sqrt(d))**(n >> 1),
-    and the last doubling is done here on the real squares xx = X*X and
+    and _doubled does the last doubling on the real squares xx = X*X and
     yy = Y*Y, which also test the half power: unless X >= 1, Y >= 1 and
     xx - d*yy == 1 it raises ConsistencyError.  When n is odd, one step
     by the fundamental follows.
@@ -304,7 +356,7 @@ def _power(d: int, x1: int, y1: int, n: int) -> tuple[int, int]:
     N(x, y) = x**2 - d*y**2 is multiplicative, N(u*v) = N(u)*N(v) in
     Z[sqrt(d)].  The doubled pair, (xx + d*yy, 2*X*Y), is
     (X + Y*sqrt(d))**2, so its norm is N(X, Y)**2 = 1, and both its
-    parts are >= 1 since X, Y >= 1.  (x1, y1) was checked by
+    parts are >= 1 since X, Y >= 1.  (x1, y1) was proved by
     _fundamental, x1, y1 >= 1 and N(x1, y1) = 1, so the odd step's
     product has norm 1 * 1 and positive parts too.  So the answer is a
     positive solution, shown by an exact test on the half power's squares,
@@ -313,32 +365,28 @@ def _power(d: int, x1: int, y1: int, n: int) -> tuple[int, int]:
     """
     if n == 1:
         return x1, y1
-    x, y = _quadratic_power(d, x1, y1, n >> 1)
-    xx, yy = x * x, y * y
-    if x < 1 or y < 1 or xx - d * yy != 1:
-        raise _non_solution("the Redei kernel", d, n)
-    x, y = xx + d * yy, (x + y) ** 2 - xx - yy
+    x, y = _doubled(d, *_quadratic_power(d, x1, y1, n >> 1), 1, "the Redei kernel", n)
     if n & 1:
         x, y = x1 * x + d * y1 * y, y1 * x + x1 * y
     return x, y
 
 
 def _solution(d: int, n: int) -> tuple[int, int]:
-    """(x, y), the checked n-th solution for d, for an int n >= 1.
+    """(x, y), the proved n-th solution for d, for an int n >= 1.
 
-    The CLI's solve in one lean pass: sqrt_cf, the checked fundamental and
+    The CLI's solve in one lean pass: _expand, the proved fundamental and
     _power, the route of PellSolver.nth_solution, with no solver or
     solution object.  A perfect square d raises PerfectSquareError.
     """
-    expansion = sqrt_cf(d)
-    return _power(expansion.d, *_fundamental(expansion), n)
+    expansion, middle = _expand(d)
+    return _power(expansion.d, *_fundamental(expansion, middle), n)
 
 
 def _verify_records(d_max: int, n_max: int) -> Iterator[dict]:
     """verify's records: the witness checked at n = 1..n_max for each
     nonsquare d in 2..d_max, one lean pass per radicand.
 
-    Each d is expanded once; its fundamental (x1, y1) comes checked from
+    Each d is expanded once; its fundamental (x1, y1) comes proved from
     _fundamental, so the slope (1 + x1)/y1 is finite.  Convergent
     n*stride - 1 is read from one walk strided to those indices, and
     num/den, the 2n-th Redei value at the slope, from one kernel call;
@@ -350,8 +398,8 @@ def _verify_records(d_max: int, n_max: int) -> Iterator[dict]:
         root = isqrt(d)
         if root * root == d:
             continue
-        expansion = sqrt_cf(d)
-        x1, y1 = _fundamental(expansion)
+        expansion, middle = _expand(d)
+        x1, y1 = _fundamental(expansion, middle)
         length = expansion.period_length
         stride = _stride(length)
         for n, (p, q) in zip(range(1, n_max + 1), _pairs(expansion, stride - 1, stride)):
@@ -407,24 +455,21 @@ def _quotient_product(quotients: Sequence[int]) -> tuple[int, int, int, int]:
     return level[0]
 
 
-def _period_unit(expansion: SqrtExpansion) -> tuple[int, int]:
-    """(p, q), convergent L - 1: the period unit p + q*sqrt(d).
+def _half_period(expansion: SqrtExpansion) -> tuple[int, int, int, int]:
+    """(p_k, q_k, p_(k-1), q_(k-1)): convergents k and k - 1 of sqrt(d),
+    k = (L - 1)//2, the columns of A(a0) * H.
 
-    With A(a) = [[a, 1], [1, 0]], convergent L - 1 is the first column of
-    A(a0) * R for R = A(a1) * ... * A(a_(L-1)) = H * [M] * H^T: H is the
-    product tree over the first half, the middle factor M is there only
-    when L is even, and R is symmetric because each A is.  Convergent
-    j*L + L - 1 is the unit's power j + 1 (Lenstra, Notices AMS 49, 2002).
+    With A(a) = [[a, 1], [1, 0]], A(a0) * A(a1) * ... * A(ak) is
+    [[p_k, p_(k-1)], [q_k, q_(k-1)]], and H is the product tree over the
+    first k quotients of the period.  For even L = 2h, k = h - 1, and the
+    period unit, convergent L - 1, is convergent k's square over Q_h; for
+    odd L = 2h + 1, k = h, and it is the product of the two over Q_h,
+    which _fundamental makes without a division.  Convergent j*L + L - 1 is the unit's power j + 1
+    (Lenstra, Notices AMS 49, 2002).
     """
     a0, period = expansion.a0, expansion.period
-    length = len(period)
-    a, b, c, e = _quotient_product(period[: (length - 1) // 2])
-    if length % 2:
-        x, y = a * a + b * b, c * a + e * b
-    else:
-        middle = period[length // 2 - 1]
-        x, y = a * (a * middle + 2 * b), c * (a * middle + b) + a * e
-    return a0 * x + y, x
+    a, b, c, e = _quotient_product(period[: (len(period) - 1) // 2])
+    return a0 * a + c, a, a0 * b + e, b
 
 
 def minimal_solution(d: int) -> PellSolution:

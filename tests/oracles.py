@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from pellredei import INF, redei_pair_fast
+from pellredei import INF, nth_convergent, redei_pair_fast
 
 
 def brute_isqrt(n: int) -> int:
@@ -52,6 +52,18 @@ def surd_quotients(d: int, count: int) -> list[int]:
     return quotients
 
 
+def surd_denominator(d: int, k: int) -> int:
+    """Q_k: the k-th complete quotient of sqrt(d) is (m + sqrt(d))/Q_k, by the
+    integer surd state."""
+    r = brute_isqrt(d)
+    a, m, s = r, 0, 1
+    for _ in range(k):
+        m = a * s - m
+        s = (d - m * m) // s
+        a = (r + m) // s
+    return s
+
+
 def fold_quotients(quotients: list[int]) -> Fraction:
     """Exact value of the finite continued fraction [q0; q1, ..., qk]."""
     value = Fraction(quotients[-1])
@@ -77,6 +89,13 @@ def pell_by_convergent_scan(d: int, max_terms: int = 100_000) -> tuple[int, int,
         if k > max_terms:
             raise RuntimeError(f"no unit convergent found for d={d}")
     return k, p, q
+
+
+def walk_unit(expansion) -> tuple[int, int]:
+    """(p, q), the period unit p + q*sqrt(d): convergent L - 1, read off the
+    package's sequential walk, which the solver's route does not use."""
+    unit = nth_convergent(expansion, expansion.period_length - 1)
+    return unit.p, unit.q
 
 
 def pell_by_y_scan(d: int) -> tuple[int, int]:

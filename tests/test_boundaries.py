@@ -448,9 +448,9 @@ class TestWrongKernel:
 
     @pytest.mark.parametrize("strategy", ["redei", "power", "cf"])
     def test_cli_exit_code_4_at_even_period(self, capsys, strategy):
-        # d = 61 has odd L, so the fundamental's square already goes through
-        # the patched kernel.  d = 7 has even L: only the fifth power does,
-        # so a CLI that called the kernel by a name of its own would pass.
+        # No fundamental makes a kernel call, at odd L (d = 61) or even L
+        # (d = 7): only the fifth power's half power does, so a CLI that
+        # called the kernel by a name of its own would pass.
         code = main(["solve", "--d", "7", "--n", "5", "--strategy", strategy])
         captured = capsys.readouterr()
         assert code == 4
@@ -459,24 +459,20 @@ class TestWrongKernel:
 
 
 class TestWrongPeriodUnit:
-    """A period unit off the curve is caught by the check of the
-    fundamental, before any power, on the CLI as in the library."""
+    """A half-period convergent off the curve fails its norm test against
+    Q_h, before any power, on the CLI as in the library: d = 7 has even
+    period length, d = 61 odd."""
 
     @pytest.fixture(autouse=True)
-    def broken_unit(self, monkeypatch):
-        real = solver._period_unit
-
-        def off_by_one(expansion):
-            p, q = real(expansion)
-            return p + 1, q
-
-        monkeypatch.setattr(solver, "_period_unit", off_by_one)
+    def broken_half(self, monkeypatch):
+        self.calls = _faulty_half_period(monkeypatch, lambda p, q, r, t: (p + 1, q, r, t))
 
     @pytest.mark.parametrize("n", ["1", "4", "5"])
     @pytest.mark.parametrize("d", ["7", "61"])
     def test_cli_exit_code_4(self, capsys, d, n):
         code = main(["solve", "--d", d, "--n", n])
         captured = capsys.readouterr()
+        assert self.calls == [int(d)]
         assert code == 4
         assert captured.out == ""
         assert captured.err == f"error: the product tree produced a non-solution at d={d}, n=1\n"
@@ -489,77 +485,129 @@ class TestKernelOneShort:
     which passes the norm test on the last doubling's squares; the doubling
     and the odd step then make the third solution, and solve prints it as
     the fifth with exit 0.  Pinning the index as well as the norm would
-    catch it.  d = 7 has even period length, so its fundamental makes no
-    kernel call.  (At n = 3 the half power is power 0, (1, 0), which the
-    test refuses: test_solver.TestPowerRoute pins that.)"""
+    catch it.  The fundamental makes no kernel call.  (At n = 3 the half
+    power is power 0, (1, 0), which the test refuses:
+    test_solver.TestPowerRoute pins that.)  A patch that is never called
+    fails the test outright, not as its expected AssertionError."""
 
-    @pytest.fixture(autouse=True)
-    def one_short(self, monkeypatch):
-        _kernel_one_short(monkeypatch)
-
-    def test_cli_exit_code_4(self, capsys):
+    def test_cli_exit_code_4(self, monkeypatch, capsys):
+        calls = _kernel_one_short(monkeypatch)
         code = main(["solve", "--d", "7", "--n", "5"])
         captured = capsys.readouterr()
+        if calls != [2]:
+            pytest.fail(f"the patched kernel was asked for powers {calls}, not for power 2")
         assert code == 4
         assert captured.out == ""
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the exact check tests the norm only")
 class TestSquaredPeriodUnit:
-    """A _period_unit that returns its square returns a solution, the second,
-    and the exact check passes it: solve prints it as the first with exit 0."""
+    """A _half_period one period late returns each half convergent times the
+    period unit.  At even L that unit is the fundamental, of norm one, so
+    alpha passes the norm test against Q_h, and alpha**2 / Q_h is the
+    fundamental's cube, the third solution: solve prints it as the first
+    with exit 0.  A patch that is never called fails the test outright,
+    not as its expected AssertionError."""
 
-    @pytest.fixture(autouse=True)
-    def squared(self, monkeypatch):
-        _squared_period_unit(monkeypatch)
-
-    def test_cli_exit_code_4(self, capsys):
+    def test_cli_exit_code_4(self, monkeypatch, capsys):
+        calls = _one_period_late(monkeypatch)
         code = main(["solve", "--d", "7"])
         captured = capsys.readouterr()
+        if calls != [7]:
+            pytest.fail(f"the patched _half_period was called for {calls}, not for d = 7")
         assert code == 4
         assert captured.out == ""
 
 
 def _kernel_one_short(monkeypatch):
+    """Patch the kernel to raise to n - 1; returns the exponents it is asked for."""
     real = solver._quadratic_power
-    monkeypatch.setattr(solver, "_quadratic_power", lambda d, a, b, n: real(d, a, b, n - 1))
+    calls = []
+
+    def one_short(d, a, b, n):
+        calls.append(n)
+        return real(d, a, b, n - 1)
+
+    monkeypatch.setattr(solver, "_quadratic_power", one_short)
+    return calls
 
 
-def _squared_period_unit(monkeypatch):
-    real = solver._period_unit
+def _faulty_half_period(monkeypatch, fault):
+    """Patch _half_period to return fault(*its convergents); returns the
+    radicands it was called for."""
+    real = solver._half_period
+    calls = []
 
-    def square(expansion):
-        return solver._quadratic_power(expansion.d, *real(expansion), 2)
+    def faulty(expansion):
+        calls.append(expansion.d)
+        return fault(*real(expansion))
 
-    monkeypatch.setattr(solver, "_period_unit", square)
+    monkeypatch.setattr(solver, "_half_period", faulty)
+    return calls
+
+
+def _one_period_late(monkeypatch, odd=True):
+    """Patch _half_period to return convergents k + L and k + L - 1, read off
+    the walk, in place of k and k - 1; with odd=False only at even L.
+    Returns the radicands it was called for."""
+    real = solver._half_period
+    calls = []
+
+    def late(expansion):
+        calls.append(expansion.d)
+        length = expansion.period_length
+        if length % 2 and not odd:
+            return real(expansion)
+        walk = contfrac._pairs(expansion, (length - 1) // 2 + length - 1)
+        (r, t), (p, q) = next(walk), next(walk)
+        return p, q, r, t
+
+    monkeypatch.setattr(solver, "_half_period", late)
+    return calls
 
 
 class TestWitnessCatchesNormPreservingFaults:
-    """The two faults above pass the exact check, but not verify's witness:
-    its convergent side is the sequential walk, apart from the product tree
+    """Faults that the norm tests pass are caught by verify's witness: its
+    convergent side is the sequential walk, apart from the product tree
     and the kernel, so a wrong fundamental or a wrong power shows as a
     Redei value off its convergent."""
 
     def test_squared_period_unit(self, monkeypatch, capsys):
-        _squared_period_unit(monkeypatch)
+        calls = _one_period_late(monkeypatch)
         code = main(["verify", "--d-max", "8", "--n-max", "1"])
         captured = capsys.readouterr()
+        assert calls == [2]
         assert code == 4
         assert captured.out == ""
-        # The fundamental 3 + 2*sqrt(2) is read as its square, 17 + 12*sqrt(2).
-        assert captured.err == "error: Redei value != convergent at d=2, n=1: 17/12 vs 3/2\n"
+        # d = 2 has odd period length 1: one period late, beta is convergent
+        # 1, 3 + 2*sqrt(2), of norm +1, and the test against -Q_0 = -1
+        # refuses it before the witness runs.
+        assert captured.err == "error: the product tree produced a non-solution at d=2, n=1\n"
+
+    def test_squared_period_unit_at_even_period(self, monkeypatch, capsys):
+        calls = _one_period_late(monkeypatch, odd=False)
+        code = main(["verify", "--d-max", "8", "--n-max", "1"])
+        captured = capsys.readouterr()
+        assert calls == [2, 3]
+        assert code == 4
+        assert captured.out == "d = 2: L = 1 (odd), n = 1..1 ok\n"
+        # d = 3 has even period length 2: alpha = 1 + sqrt(3) is read as
+        # 5 + 3*sqrt(3), of the same norm, and the fundamental 2 + sqrt(3) as
+        # its cube, 26 + 15*sqrt(3).
+        assert captured.err == "error: Redei value != convergent at d=3, n=1: 26/15 vs 2\n"
 
     def test_kernel_one_short(self, monkeypatch, capsys):
-        _kernel_one_short(monkeypatch)
+        calls = _kernel_one_short(monkeypatch)
         code = main(["verify", "--d-max", "8", "--n-max", "1"])
         captured = capsys.readouterr()
+        assert calls == [2]
         assert code == 4
         assert captured.out == ""
-        # d = 2 has odd period length, so its fundamental is the unit squared
-        # by the kernel: one short, it is the unit, of norm -1.
-        assert captured.err == "error: the product tree produced a non-solution at d=2, n=1\n"
-        # d = 7 has even period length: its fundamental makes no kernel call
-        # and passes, and the witness reads the Redei value of index 2n - 1.
+        # The fundamental makes no kernel call.  The witness's call for the
+        # 2n-th Redei value, one short, returns the slope (1 + x1)/y1 itself.
+        assert captured.err == "error: Redei value != convergent at d=2, n=1: 2 vs 3/2\n"
+        # The same fault at d = 7, even L: the witness reads the Redei value
+        # of index 2n - 1.
         report = PellSolver(7).correspondence_check(1)
         assert (report.redei_value, report.convergent_value) == (3, Fraction(8, 3))
         assert not report.equal
@@ -571,7 +619,7 @@ class TestWrongProductTree:
     other solution is the fundamental's power, so no strategy gets past it.
 
     d = 61 has odd period length 11, so the fundamental is two periods,
-    the tree's period unit squared by one kernel call;
+    the square of the period unit made from the tree's half convergents;
     TestWrongProductTreeEvenPeriod runs the same tests on the even
     branch."""
 
@@ -610,37 +658,111 @@ class TestWrongProductTreeEvenPeriod(TestWrongProductTree):
 
 
 class TestUnsquaredOddPeriodUnit:
-    """At odd L the period unit has norm -1; a fundamental that skipped its
-    square would be a solution of x^2 - d*y^2 = -1, and the one exact
-    check catches it for every strategy."""
+    """At odd L the period unit has norm -1 and only its square is the
+    fundamental.  A _half_period one period late (TestSquaredPeriodUnit's
+    fault) multiplies both half convergents by that unit: the unit made
+    from them still has norm -1, but beta's norm changes sign, and the
+    test against Q_h refuses it before any power, for every strategy."""
 
     @pytest.fixture(autouse=True)
-    def no_square(self, monkeypatch):
-        real = solver._quadratic_power
-
-        # At n = 4 and 5 the strategies raise to that power, so the only
-        # square asked for is the fundamental's.  At n = 4 the unit's power
-        # has norm +1: only the check of the fundamental, before the power,
-        # stops it.
-        def skip_square(d, a, b, n):
-            return (a, b) if n == 2 else real(d, a, b, n)
-
-        monkeypatch.setattr(solver, "_quadratic_power", skip_square)
+    def late(self, monkeypatch):
+        self.calls = _one_period_late(monkeypatch)
 
     @pytest.mark.parametrize("n", [1, 4, 5])
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_library_raises(self, strategy, n):
         with pytest.raises(ConsistencyError, match="non-solution"):
             PellSolver(61).nth_solution(n, strategy)
+        assert self.calls == [61]
 
     @pytest.mark.parametrize("n", ["1", "4", "5"])
     @pytest.mark.parametrize("strategy", ["redei", "power", "cf"])
     def test_cli_exit_code_4(self, capsys, strategy, n):
         code = main(["solve", "--d", "61", "--n", n, "--strategy", strategy])
         captured = capsys.readouterr()
+        assert self.calls == [61]
         assert code == 4
         assert captured.out == ""
-        assert "non-solution" in captured.err
+        assert captured.err == "error: the product tree produced a non-solution at d=61, n=1\n"
+
+
+class TestWrongMiddle:
+    """A Q_h off by one where sqrt_cf hands it over, in _expand, fails the
+    norm test of a half-period convergent it was not computed from: alpha's
+    at even L (d = 7), beta's at odd L (d = 61)."""
+
+    @pytest.fixture(autouse=True)
+    def broken_middle(self, monkeypatch):
+        real = solver._expand
+        self.calls = []
+
+        def off_by_one(d):
+            self.calls.append(d)
+            expansion, middle = real(d)
+            return expansion, middle + 1
+
+        monkeypatch.setattr(solver, "_expand", off_by_one)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("d", [7, 61])
+    def test_library_raises(self, d, n):
+        with pytest.raises(ConsistencyError, match=f"the product tree produced a non-solution at d={d}, n=1"):
+            PellSolver(d).nth_solution(n)
+        assert self.calls == [d]
+
+    @pytest.mark.parametrize("n", ["1", "5"])
+    @pytest.mark.parametrize("d", ["7", "61"])
+    def test_cli_exit_code_4(self, capsys, d, n):
+        code = main(["solve", "--d", d, "--n", n])
+        captured = capsys.readouterr()
+        assert self.calls == [int(d)]
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == f"error: the product tree produced a non-solution at d={d}, n=1\n"
+
+
+class TestHalfPeriodFaults:
+    """Each test of _fundamental refuses a half period that the others pass.
+
+    - doubled: every entry times 2, so alpha**2 is divisible by Q_h and
+      only the norm test refuses it;
+    - conjugate: q and q_(k-1) negated, of the same norms, so only the
+      guard on the signs refuses it;
+    - off-curve pair: alpha off by one and Q_h taken as its norm, so the
+      two agree with each other but not with sqrt(d), and only the
+      remainder of the division by Q_h refuses it.
+    """
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(lambda p, q, r, t: (2 * p, 2 * q, 2 * r, 2 * t), id="doubled"),
+            pytest.param(lambda p, q, r, t: (p, -q, r, -t), id="conjugate"),
+        ],
+    )
+    @pytest.mark.parametrize("d", ["7", "61"])
+    def test_cli_exit_code_4(self, monkeypatch, capsys, fault, d):
+        calls = _faulty_half_period(monkeypatch, fault)
+        code = main(["solve", "--d", d])
+        captured = capsys.readouterr()
+        assert calls == [int(d)]
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == f"error: the product tree produced a non-solution at d={d}, n=1\n"
+
+    def test_off_curve_pair_fails_the_division(self, monkeypatch, capsys):
+        # d = 7, L = 4, h = 2: alpha = 3 + sqrt(7), Q_2 = 2.  Off by one it is
+        # 4 + sqrt(7), of norm 9, and its square 23 + 8*sqrt(7) is not
+        # divisible by 9.
+        calls = _faulty_half_period(monkeypatch, lambda p, q, r, t: (p + 1, q, r, t))
+        real = solver._expand
+        monkeypatch.setattr(solver, "_expand", lambda d: (real(d)[0], 9))
+        code = main(["solve", "--d", "7"])
+        captured = capsys.readouterr()
+        assert calls == [7]
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: the product tree produced a non-solution at d=7, n=1\n"
 
 
 class TestBrokenMirror:

@@ -212,10 +212,11 @@ class TestBench:
 
     @pytest.mark.parametrize("n_max", [2, 40, 400])
     def test_checks_do_not_grow_with_n_max(self, capsys, monkeypatch, n_max):
-        # _solves_pell checks the fundamental once, then the fold's answer
-        # once per rep; the fold's steps are not checked.  The redei side's
-        # answer is proved by _power's one norm test per rep, on its half
-        # power, and not checked again.
+        # _solves_pell checks the fold's answer once per rep; the fold's
+        # steps are not checked.  The fundamental is proved by _fundamental's
+        # norm tests on its half period, and the redei side's answer by
+        # _power's one norm test per rep, on its half power; neither is
+        # checked again.
         checks, powers = [], []
         real_check, real_power = solver_module._solves_pell, solver_module._power
 
@@ -231,7 +232,7 @@ class TestBench:
         monkeypatch.setattr(solver_module, "_power", counted_power)
         code, _, _ = run(capsys, "bench", "--d", "61", "--n-max", str(n_max), "--reps", "3")
         assert code == 0
-        assert len(checks) == 1 + 3
+        assert len(checks) == 3
         assert powers == [n_max] * 3
 
     def test_detects_a_fold_one_step_ahead(self, capsys, monkeypatch):

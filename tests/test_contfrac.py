@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_is_square, fold_quotients, surd_quotients
+from oracles import brute_is_square, fold_quotients, surd_denominator, surd_quotients
 from pellredei import PerfectSquareError, convergents, nth_convergent, sqrt_cf
-from pellredei.contfrac import _pairs
+from pellredei.contfrac import _expand, _pairs
 
 
 class TestSqrtCf:
@@ -64,6 +64,18 @@ class TestSqrtCf:
             # 2*a0 first appears at the end of the period, so L is minimal.
             assert cf.period.index(2 * cf.a0) == length - 1
         assert {1, 2, 3, 4} <= lengths
+
+    def test_middle_s_matches_oracle_up_to_2000(self):
+        # _expand hands over Q_h, h = L // 2, beside the expansion that
+        # sqrt_cf returns, which carries nothing more.
+        for d in range(2, 2001):
+            if brute_is_square(d):
+                continue
+            expansion, middle = _expand(d)
+            cf = sqrt_cf(d)
+            assert (expansion, hash(expansion), repr(expansion)) == (cf, hash(cf), repr(cf))
+            assert vars(expansion) == {"d": d, "a0": cf.a0, "period": cf.period}
+            assert middle == surd_denominator(d, expansion.period_length // 2), d
 
     def test_long_period_matches_oracle(self):
         cf = sqrt_cf(10**10 + 19)

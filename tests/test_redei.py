@@ -13,6 +13,7 @@ from oracles import (
     odot_value,
     random_fraction,
     random_nonsquare,
+    walk_unit,
 )
 from pellredei import (
     INF,
@@ -30,7 +31,6 @@ from pellredei import redei as redei_module
 from pellredei import solver as solver_module
 from pellredei.redei import RedeiPair
 from pellredei.redei import _quadratic_power
-from pellredei.solver import _period_unit
 
 
 # (d, a, b) for the powers of a + b*sqrt(d): integer and Fraction
@@ -254,9 +254,9 @@ class TestClearedRoute:
         from_parameter(12, Fraction(5, 7)) ** -9
         HyperbolaPoint(12, 2, Fraction(1, 2)) ** 4
         HyperbolaPoint(2, 3, 2) ** 5
-        PellSolver(13).nth_solution(7)  # L = 5, odd: the fundamental squares the unit
+        PellSolver(13).nth_solution(7)  # the half power; the fundamental makes no call
         PellSolver(7).correspondence_check(3)
-        assert len(calls) == 12
+        assert len(calls) == 11
         assert all(type(arg) is int for args in calls for arg in args), calls
 
 
@@ -296,15 +296,20 @@ class Big(int):
 
 
 def test_square_reuses_the_norm_test_squares():
-    """The odd-L fundamental is the period unit's square: a*a and b*b of the
-    norm test serve its one doubling, so it takes three full-size operations."""
+    """The odd-L fundamental is the period unit's square: p*p and q*q of the
+    norm test serve its one doubling, so it takes three full-size operations,
+    in the kernel as in the solver's own square."""
     for d in (421, 10000141):  # L = 37 and 4769
         solver = PellSolver(d)
-        p, q = _period_unit(solver.expansion)
+        p, q = walk_unit(solver.expansion)
         assert p * p - d * (q * q) == -1
+        fundamental = solver.fundamental.x, solver.fundamental.y
         Big.log.clear()
-        assert _quadratic_power(d, Big(p), Big(q), 2) == (solver.fundamental.x, solver.fundamental.y)
+        assert _quadratic_power(d, Big(p), Big(q), 2) == fundamental
         assert len(Big.log) == 3
+        Big.log.clear()
+        assert solver_module._doubled(d, Big(p), Big(q), -1, "the product tree", 1) == fundamental
+        assert Big.log == ["square"] * 3
 
 
 class TestKernel:
@@ -349,7 +354,7 @@ class TestKernel:
     @pytest.mark.parametrize("d", [2, 13, 61, 94, 151, 397])
     def test_pell_units_equal_repeated_steps(self, d):
         solver = PellSolver(d)
-        bases = [(solver.fundamental.x, solver.fundamental.y), _period_unit(solver.expansion)]
+        bases = [(solver.fundamental.x, solver.fundamental.y), walk_unit(solver.expansion)]
         for (a, b), sa, sb in itertools.product(bases, (1, -1), (1, -1)):
             for n in range(40):
                 assert _quadratic_power(d, sa * a, sb * b, n) == self._stepped(d, sa * a, sb * b, n)
@@ -366,7 +371,7 @@ class TestKernel:
         w = point.y.denominator
         bases = [
             (1 + x1, y1, 3 * k),  # the witness base, norm 2 + 2*x1
-            (*_period_unit(solver.expansion), 3 * k),  # norm -1
+            (*walk_unit(solver.expansion), 3 * k),  # norm -1
             (point.x.numerator * (w // point.x.denominator), point.y.numerator, 3 * k),  # norm w**2
             (x1, y1, 3 + 2 * (k - 1)),  # norm 1
         ]

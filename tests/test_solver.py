@@ -10,6 +10,7 @@ from oracles import (
     pell_by_convergent_scan,
     pell_by_slope_redei,
     pell_by_y_scan,
+    walk_unit,
 )
 from pellredei import (
     ConsistencyError,
@@ -25,10 +26,13 @@ from pellredei import (
     solutions,
     sqrt_cf,
 )
+from pellredei import exact as exact_module
+from pellredei import hyperbola as hyperbola_module
 from pellredei import solver as solver_module
 from pellredei.cli import main
+from pellredei.contfrac import _expand
 from pellredei.redei import _quadratic_power
-from pellredei.solver import _fundamental, _period_unit
+from pellredei.solver import _fundamental, _stride
 
 
 class TestPellSolution:
@@ -124,6 +128,47 @@ def test_product_tree_matches_convergent_walk(d):
     assert (solver.fundamental.x, solver.fundamental.y) == (conv.p, conv.q)
 
 
+class TestHalfPeriodRoute:
+    """_fundamental makes the fundamental from two half-period convergents
+    and Q_h, and proves it by their norms, with no full-size check."""
+
+    def test_matches_the_walk_below_5000(self):
+        # L = 1 (d = a**2 + 1), L = 2 (an empty half tree), and odd and even
+        # L >= 3 with h = L // 2 of both parities.
+        shapes = set()
+        for d in range(2, 5000):
+            if brute_is_square(d):
+                continue
+            expansion, middle = _expand(d)
+            length = expansion.period_length
+            conv = nth_convergent(expansion, _stride(length) - 1)
+            assert _fundamental(expansion, middle) == (conv.p, conv.q), d
+            shapes.add((min(length, 3), length % 2, length // 2 % 2))
+        assert shapes == {(1, 1, 0), (2, 0, 1), (3, 1, 0), (3, 1, 1), (3, 0, 0), (3, 0, 1)}
+
+    @pytest.mark.parametrize("d, n", [(2, 5), (3, 5), (7, 5), (13, 5), (61, 5), (4000039, 1), (4000189, 1)])
+    def test_no_full_size_check(self, monkeypatch, capsys, d, n):
+        # L = 1, 2, 4, 5, 11, 3032 and 3829; at the last two the fifth
+        # solution is past the int-to-str digit limit.  The recount is live:
+        # a PellSolution built from its parts makes the one check.
+        calls = []
+        real = exact_module._solves_pell
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (exact_module, hyperbola_module, solver_module):
+            monkeypatch.setattr(module, "_solves_pell", counted)
+        fundamental = PellSolver(d).nth_solution(1)
+        assert main(["solve", "--d", str(d)]) == 0
+        assert main(["solve", "--d", str(d), "--n", str(n)]) == 0
+        capsys.readouterr()
+        assert calls == []
+        PellSolution(d, 1, fundamental.x, fundamental.y)
+        assert len(calls) == 1
+
+
 class TestNthSolution:
     def test_frozen_values(self):
         for strategy in Strategy:
@@ -152,7 +197,7 @@ class TestNthSolution:
         def no_route(*args):
             raise AssertionError("a non-integer n reached a solution route")
 
-        monkeypatch.setattr(solver_module, "_period_unit", no_route)
+        monkeypatch.setattr(solver_module, "_half_period", no_route)
         monkeypatch.setattr(solver_module, "_quadratic_power", no_route)
 
     @pytest.mark.parametrize("n", [2.0, Fraction(2)])
@@ -180,7 +225,8 @@ class TestNthSolution:
 @pytest.mark.parametrize("d, n", [(2, 1), (7, 5), (61, 1), (61, 5), (13, 40)])
 def test_strategy_is_a_label(monkeypatch, d, n):
     # Every strategy makes the same kernel calls, returns the same solution
-    # and, when the kernel is wrong, raises the same error.
+    # and, when the kernel is wrong, raises the same error.  At n = 1 no
+    # strategy calls the kernel, so a wrong one changes nothing.
     calls = []
 
     def spy(*args):
@@ -198,11 +244,15 @@ def test_strategy_is_a_label(monkeypatch, d, n):
         solution = PellSolver(d).nth_solution(n, strategy)
         runs.add((tuple(calls), solution))
         monkeypatch.setattr(solver_module, "_quadratic_power", off_by_one)
+        if n == 1:
+            assert PellSolver(d).nth_solution(n, strategy) == solution
+            continue
         with pytest.raises(ConsistencyError, match="non-solution") as caught:
             PellSolver(d).nth_solution(n, strategy)
         messages.add(str(caught.value))
-    assert len(runs) == 1 and runs.pop()[0]
-    assert len(messages) == 1, messages
+    assert len(runs) == 1
+    assert bool(runs.pop()[0]) == (n > 1)
+    assert len(messages) == (n > 1), messages
 
 
 class TestPowerRoute:
@@ -212,7 +262,7 @@ class TestPowerRoute:
 
     @staticmethod
     def _both(d, ns):
-        x1, y1 = _fundamental(sqrt_cf(d))
+        x1, y1 = _fundamental(*_expand(d))
         for n in ns:
             assert solver_module._power(d, x1, y1, n) == _quadratic_power(d, x1, y1, n), (d, n)
 
@@ -273,7 +323,7 @@ def test_period_power_matches_convergent_walk():
         length = expansion.period_length
         for j in range(9):
             conv = nth_convergent(expansion, j * length + length - 1)
-            assert _quadratic_power(d, *_period_unit(expansion), j + 1) == (conv.p, conv.q), (d, j)
+            assert _quadratic_power(d, *walk_unit(expansion), j + 1) == (conv.p, conv.q), (d, j)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -283,7 +333,7 @@ def test_period_unit_power_is_solution_convergent(d, j):
     expansion = sqrt_cf(d)
     length = expansion.period_length
     conv = nth_convergent(expansion, j * length + length - 1)
-    assert _quadratic_power(d, *_period_unit(expansion), j + 1) == (conv.p, conv.q)
+    assert _quadratic_power(d, *walk_unit(expansion), j + 1) == (conv.p, conv.q)
 
 
 @pytest.mark.parametrize(
@@ -301,7 +351,7 @@ def test_every_strategy_matches_period_unit_power(d, ns):
     # At odd L (d = 13, 61) this is the unit to the power 2n, with y**2 as a
     # square, where the strategies take x1**n with y**2 = (x**2 - 1)/d.
     solver = PellSolver(d)
-    unit = _period_unit(solver.expansion)
+    unit = walk_unit(solver.expansion)
     for n in ns:
         expected = _quadratic_power(d, *unit, solver.solution_index(n) // solver.period_length + 1)
         for strategy in Strategy:
