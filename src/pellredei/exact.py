@@ -22,22 +22,10 @@ parts, such as the linear fold's.  The solver's own answers are proved
 instead, from the norms of half-size numbers: each fundamental solution
 by solver._fundamental from its half-period convergents, and each n-th
 power by solver._power from its half power.  Every HyperbolaPoint
-passes it on its coordinates cleared by w, the denominator of y.  Below
-2**15 bits of x it is the plain expression.  Above, it tests
-R = x**2 - d*y**2 - w**2 modulo the pair 2**s - 1 and 2**s + 1 for a run
-of primes s whose sum of 2*s - 3 exceeds the bits of |R|: these moduli
-are pairwise coprime but for a common factor 3 among the 2**s + 1, so
-their lcm exceeds |R|, R vanishes modulo all of them only if R = 0, and
-the test stays exact.
-One fold of each of x, y, d and w to 2**(2*s) - 1 serves both moduli of
-a pair, since 2**(2*s) - 1 = (2**s - 1)*(2**s + 1), and a value below
-2**s - 1 (w = 1, a small d) is its own residue and needs none.  A fold
-is a few linear passes of shifts, masks and adds (_mod_mersenne), so the
-test squares s-bit residues, never the full-size x and y.  Best of 5 on a
-2-vCPU VM under CPython 3.11, plain expression against this check:
-d = 61, n = 10**5 (x of 3.17M bits): 790 -> 257 ms; d = 1000003,
-n = 10**3 (832k bits): 92.9 -> 34.6 ms; d = 2, n = 10**5 (254k bits):
-15.4 -> 7.4 ms.
+passes it on its coordinates cleared by w, the denominator of y.  It is
+the plain expression, two full-size squares and a product by d.  Best of
+5 on a 2-vCPU VM under CPython 3.11: d = 2, n = 10**5 (x of 254k bits):
+13.1-14.4 ms; d = 61, n = 10**4 (317k bits): 17.3-18.8 ms, two runs.
 
 _decimal_text is str() of an int, with the same bytes and the same
 ValueError past the int-to-str digit limit, and the CLI's one way to
@@ -63,9 +51,7 @@ the package's import time.
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import operator
 import sys
 from fractions import Fraction
@@ -259,128 +245,13 @@ def require_nonsquare(d: int) -> int:
     return d
 
 
-# Bit length of x from which _solves_pell works in residues: below it the
-# plain expression is cheaper (the two cost the same near 30k bits).
-_RESIDUE_BITS = 1 << 15
-# The first ladder of prime exponents starts here, and each ladder holds
-# this many primes; the next ladder starts at twice the start.  A start
-# above 3 keeps 9 from dividing any 2**s + 1.
-_LADDER_START = 3072
-_LADDER_SIZE = 48
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % p for p in range(2, isqrt(n) + 1))
-
-
-@functools.cache
-def _ladder(start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The first _LADDER_SIZE primes from start up, and the running sums of 2*p - 3."""
-    primes = tuple(itertools.islice(filter(_is_prime, itertools.count(start)), _LADDER_SIZE))
-    return primes, tuple(itertools.accumulate(2 * p - 3 for p in primes))
-
-
-def _moduli(bound: int) -> tuple[int, ...]:
-    """The shortest run of ladder primes s, from the ladder's start, with sum(2*s - 3) > bound.
-
-    The first ladder that can reach bound serves, so a run holds at most
-    _LADDER_SIZE primes and s grows with bound: the folds cost about
-    len(run) passes over the operands, which would grow quadratic if
-    the run did.
-    """
-    start = _LADDER_START
-    while True:
-        primes, sums = _ladder(start)
-        if sums[-1] > bound:
-            return primes[: bisect.bisect_right(sums, bound) + 1]
-        start *= 2
-
-
-def _mod_mersenne(v: int, s: int) -> int:
-    """v mod 2**s - 1, in [0, 2**s - 1), for an int v >= 0, by shifts, masks and adds.
-
-    2**w = 1 (mod 2**s - 1) whenever s divides w, so v = hi*2**w + lo
-    folds to hi + lo.  The widths w = s*2**j halve from the first one with
-    2*w >= bits(v), so each fold about halves v and the folds together
-    cost a few linear passes over v, where one % would be CPython's
-    quadratic long division.
-    """
-    w = s
-    while 2 * w < v.bit_length():
-        w *= 2
-    while w > s:
-        v = (v & ((1 << w) - 1)) + (v >> w)
-        w //= 2
-    mask = (1 << s) - 1
-    while v > mask:
-        v = (v & mask) + (v >> s)
-    return 0 if v == mask else v
-
-
-def _fold_fermat(v: int, s: int) -> int:
-    """v mod 2**s + 1, in [0, 2**s + 1), for an int v in [0, 2**(2*s) - 1).
-
-    With v = hi*2**s + lo, 2**s is -1 modulo 2**s + 1, so v reduces to
-    lo - hi.
-    """
-    minus = (v & ((1 << s) - 1)) - (v >> s)
-    return minus + (1 << s) + 1 if minus < 0 else minus
-
-
-def _mod_fermat(v: int, s: int) -> int:
-    """v mod 2**s + 1, in [0, 2**s + 1), for an int v >= 0, by shifts, masks and adds.
-
-    2**s + 1 divides 2**(2*s) - 1, so v folds first to width 2*s.
-    """
-    return _fold_fermat(_mod_mersenne(v, 2 * s), s)
-
-
-def _split(v: int, s: int) -> tuple[int, int]:
-    """(v mod 2**s - 1, v mod 2**s + 1) for an int v >= 0, from one fold.
-
-    A v below 2**s - 1 is its own residue on both sides.  Any other v
-    folds once to 2**(2*s) - 1 = (2**s - 1)*(2**s + 1), and that residue
-    reduces modulo each factor.
-    """
-    if v < (1 << s) - 1:
-        return v, v
-    v = _mod_mersenne(v, 2 * s)
-    return _mod_mersenne(v, s), _fold_fermat(v, s)
-
-
 def _solves_pell(x: int, y: int, d: int, w: int = 1) -> bool:
     """x**2 - d*y**2 == w**2, decided exactly, for ints x, y, d, w >= 0.
 
-    Below _RESIDUE_BITS bits of x this is the plain expression.  Above,
-    R = x**2 - d*y**2 - w**2 is tested modulo 2**s - 1 and 2**s + 1 for a
-    run of primes s > 3 with sum(2*s - 3) > B = max(2*bits(x),
-    bits(d) + 2*bits(y), 2*bits(w)) + 1.  The argument: |R| <= max(x**2,
-    d*y**2 + w**2) < 2**B, and for distinct odd primes a, b,
-      - gcd(2**a - 1, 2**b - 1) = 2**gcd(a, b) - 1 = 1,
-      - gcd(2**a - 1, 2**b + 1) = 1 and gcd(2**a - 1, 2**a + 1) = 1,
-      - gcd(2**a + 1, 2**b + 1) = 2**gcd(a, b) + 1 = 3, and for s > 3
-        the prime 3 divides 2**s + 1 exactly once.
-    So the lcm of the moduli is 3 times the product of the 2**s - 1 and
-    the (2**s + 1)/3, at least 2**sum(2*s - 3) > 2**B > |R|, and R = 0
-    modulo every one of them means R = 0.  Nothing is probabilistic.
-    x, y, d and w are folded once per pair, to 2**(2*s) - 1, and split
-    into both residues (_split); a value below 2**s - 1, such as w = 1 or
-    a small d, is its own residue on both sides and is not folded.  The
-    squares are of s-bit numbers, so the test never squares the
-    full-size x, y and w.  Testing R modulo 2**(2*s) - 1 itself would be
-    as exact, but squares 2s-bit residues: it measured 8-38% slower from
-    44k to 3.2M bits of x.
+    The plain expression, on the full-size x, y and w.  The solver proves
+    its own answers without it; the module docstring names its callers.
     """
-    if x.bit_length() < _RESIDUE_BITS:
-        return x * x - d * (y * y) == w * w
-    bound = max(2 * x.bit_length(), d.bit_length() + 2 * y.bit_length(), 2 * w.bit_length()) + 1
-    for s in _moduli(bound):
-        (xm, xp), (ym, yp), (dm, dp), (wm, wp) = (_split(v, s) for v in (x, y, d, w))
-        if _mod_mersenne(xm * xm, s) != _mod_mersenne(dm * _mod_mersenne(ym * ym, s) + wm * wm, s):
-            return False
-        if _mod_fermat(xp * xp, s) != _mod_fermat(dp * _mod_fermat(yp * yp, s) + wp * wp, s):
-            return False
-    return True
+    return x * x - d * (y * y) == w * w
 
 
 class _Value:

@@ -44,11 +44,9 @@ as its even power.  An n-th power (n >= 2) is proved the same way:
 _power takes the kernel's half power (n >> 1), tests its norm on the
 squares of the last doubling, which it does itself, and the norm's
 multiplicativity carries that test and the fundamental's to the answer.
-exact._solves_pell checks each pair of the linear fold as its
-PellSolution is built; bench checks only the fold's last pair, not each
-step.  Below 2**15 bits of x that check is the plain
-x*x - d*(y*y) == 1; past that it runs in residues modulo pairs
-2**s - 1, 2**s + 1 whose lcm exceeds the identity's size, still exact.
+exact._solves_pell, the plain x*x - d*(y*y) == 1, checks each pair of
+the linear fold as its PellSolution is built; bench checks only the
+fold's last pair, not each step.
 A non-solution raises ConsistencyError (exit 4).  All of these test
 the norm only: a wrong solution, such as the (n-1)-th, passes them.
 """

@@ -375,14 +375,14 @@ class TestCheckAtScale:
 
     @pytest.fixture(scope="class")
     def rational(self):
-        """A rational point past the threshold and one below it, by
-        (X, Y, w) with x = X/w and y = Y/w."""
+        """A rational point on either side of 2^15 bits, by (X, Y, w) with
+        x = X/w and y = Y/w."""
         big, small = from_parameter(61, Fraction(7, 10)) ** 3000, from_parameter(61, Fraction(7, 10)) ** 5
         cleared = []
         for point in (small, big):
             w = point.y.denominator
             cleared.append((point.x.numerator * (w // point.x.denominator), point.y.numerator, w))
-        assert cleared[0][0].bit_length() < exact._RESIDUE_BITS <= cleared[1][0].bit_length()
+        assert cleared[0][0].bit_length() < 2**15 <= cleared[1][0].bit_length()
         return cleared
 
     def test_integer_point_takes_the_one_check(self, solution, rational, monkeypatch):

@@ -1,17 +1,14 @@
-import bisect
-import itertools
 import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_is_square, brute_isqrt, random_fraction, random_nonsquare
 from pellredei import (
-    PellSolution,
     PellSolver,
     INF,
     Infinity,
@@ -326,83 +323,9 @@ def _plain(x, y, d, w=1):
     return x * x - d * (y * y) == w * w
 
 
-def _product(factors):
-    """The product of the factors, by a balanced product tree."""
-    level = list(factors)
-    while len(level) > 1:
-        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-    return level[0]
-
-
-def _moduli_of(run):
-    """The moduli of a run of primes s: each 2**s - 1, then each 2**s + 1."""
-    return [(1 << s) - 1 for s in run] + [(1 << s) + 1 for s in run]
-
-
-def _lcm(moduli):
-    """The lcm of moduli whose pairwise gcds are 1 or 3 and which 9 divides
-    none of (TestLadders checks both): their product over 3**(k - 1), with
-    k the number of them that 3 divides."""
-    k = sum(m % 3 == 0 for m in moduli)
-    return _product(moduli) // 3 ** max(k - 1, 0)
-
-
-def _trial_prime(n):
-    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
-
-
-class TestModMersenne:
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(v=st.integers(0, 2**5000), s=st.integers(1, 300))
-    def test_matches_remainder(self, v, s):
-        assert exact._mod_mersenne(v, s) == v % ((1 << s) - 1)
-
-    @pytest.mark.parametrize("s", [1, 2, 61, 12289])
-    def test_edges(self, s):
-        m = (1 << s) - 1
-        for v in (0, 1, m - 1, m, m + 1, 2 * m, m * m, (1 << (8 * s + 3)) - 1):
-            assert exact._mod_mersenne(v, s) == v % m
-
-
-class TestModFermat:
-    """The 2**s + 1 fold, and the split of any v >= 0 into both residues."""
-
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(v=st.integers(0, 2**5000), s=st.integers(1, 300))
-    def test_matches_remainder(self, v, s):
-        assert exact._mod_fermat(v, s) == v % ((1 << s) + 1)
-
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(data=st.data(), s=st.integers(1, 300))
-    def test_split_matches_remainders(self, data, s):
-        v = data.draw(st.integers(0, (1 << (2 * s)) - 2) | st.integers(0, 2**5000))
-        assert exact._split(v, s) == (v % ((1 << s) - 1), v % ((1 << s) + 1))
-
-    @pytest.mark.parametrize("s", [1, 2, 61, 12289])
-    def test_edges(self, s):
-        m = (1 << s) + 1
-        for v in (0, 1, m - 2, m - 1, m, m + 1, 2 * m, m * m, (1 << (8 * s + 3)) - 1):
-            assert exact._mod_fermat(v, s) == v % m
-
-
 class TestSolvesPellAgrees:
-    """The check agrees with the plain expression on any (x, y, d, w) >= 0.
-
-    The threshold is patched to 0, so every draw takes the residue path,
-    and the ladder starts at 5, so small draws already need runs of
-    several moduli and large ones climb to later ladders."""
-
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(
-        x=st.integers(0, 2**3000),
-        y=st.integers(0, 2**3000),
-        d=st.integers(0, 2**200) | st.integers(0, 20),
-    )
-    def test_random_triples(self, x, y, d):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_RESIDUE_BITS", 0)
-            mp.setattr(exact, "_LADDER_START", 5)
-            assert exact._solves_pell(x, y, d) == _plain(x, y, d)
+    """The check passes real solutions and rational points, and agrees with
+    the plain expression on their neighbours."""
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(
@@ -414,28 +337,8 @@ class TestSolvesPellAgrees:
     def test_solutions_and_their_neighbours(self, d, n, dx, dy):
         solution = PellSolver(d).nth_solution(n)
         x, y = solution.x + dx, max(0, solution.y + dy)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_RESIDUE_BITS", 0)
-            mp.setattr(exact, "_LADDER_START", 5)
-            assert exact._solves_pell(x, y, d) == _plain(x, y, d)
-            assert exact._solves_pell(solution.x, solution.y, d)
-
-
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(
-        x=st.integers(0, 2**3000),
-        y=st.integers(0, 2**3000),
-        d=st.integers(0, 2**200) | st.integers(0, 20),
-        w=st.integers(0, 2**3000) | st.integers(0, 20),
-    )
-    # 1023 = (2**5 - 1)*(2**5 + 1), the pair of the first prime: a bound
-    # blind to w would test R = -w**2 modulo those two alone.
-    @example(x=0, y=0, d=0, w=1023)
-    def test_random_quadruples(self, x, y, d, w):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_RESIDUE_BITS", 0)
-            mp.setattr(exact, "_LADDER_START", 5)
-            assert exact._solves_pell(x, y, d, w) == _plain(x, y, d, w)
+        assert exact._solves_pell(x, y, d) == _plain(x, y, d)
+        assert exact._solves_pell(solution.x, solution.y, d)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(
@@ -452,165 +355,6 @@ class TestSolvesPellAgrees:
         point = from_parameter(d, m) ** k
         w = point.y.denominator
         x, y = abs(point.x.numerator) * (w // point.x.denominator), abs(point.y.numerator)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_RESIDUE_BITS", 0)
-            mp.setattr(exact, "_LADDER_START", 5)
-            assert exact._solves_pell(x, y, d, w)
-            x, y, w = max(0, x + dx), max(0, y + dy), max(0, w + dw)
-            assert exact._solves_pell(x, y, d, w) == _plain(x, y, d, w)
-
-    @pytest.mark.parametrize("k", [-2, -1, 0, 1])
-    @pytest.mark.parametrize("role", ["w", "d"])
-    def test_d_or_w_at_the_first_modulus(self, role, k):
-        """x past 2**15 bits, and d or w at 2**s + k for the first ladder prime
-        s, where a value stops being its own residue: the true cases pass
-        and every neighbour off by one is refused, on the real ladder."""
-        s = exact._ladder(exact._LADDER_START)[0][0]
-        assert s == 3079
-        v = (1 << s) + k
-        if role == "w":
-            # x**2 - d = (m + w)**2 - m*(m + 2*w) = w**2.
-            m = 1 << (1 << 15)
-            cases = [(m + v, 1, m * (m + 2 * v), v)]
-        else:
-            # x**2 - w**2 = (x - w)*(x + w) = d*y**2 in both.
-            t = 1 << (1 << 14)
-            cases = [(v * t * t + 1, 2 * t, v, v * t * t - 1)]
-            if v % 2:
-                y = 2 * t + 1
-                cases.append(((y * y + v) // 2, y, v, (y * y - v) // 2))
-        for case in cases:
-            assert case[0].bit_length() > exact._RESIDUE_BITS
-            assert _plain(*case) and exact._solves_pell(*case)
-            for i, step in itertools.product(range(4), (-1, 1)):
-                near = list(case)
-                near[i] += step
-                assert not _plain(*near)
-                assert not exact._solves_pell(*near), (i, step)
-
-
-class TestSolvesPellAtThreshold:
-    """Real solutions just below and just above the threshold pass, on the
-    plain and the residue path, and every neighbour off by one is refused."""
-
-    @pytest.fixture(scope="class", params=[2, 61, 1000003])
-    def pair(self, request):
-        d = request.param
-        solver = PellSolver(d)
-        # The bits of the n-th solution grow about linearly in n.
-        n = exact._RESIDUE_BITS // solver.fundamental.x.bit_length()
-        n = exact._RESIDUE_BITS * n // solver.nth_solution(n).x.bit_length()
-        while solver.nth_solution(n).x.bit_length() >= exact._RESIDUE_BITS:
-            n -= 1
-        while solver.nth_solution(n + 1).x.bit_length() < exact._RESIDUE_BITS:
-            n += 1
-        below, above = solver.nth_solution(n), solver.nth_solution(n + 1)
-        assert below.x.bit_length() < exact._RESIDUE_BITS <= above.x.bit_length()
-        return below, above
-
-    @pytest.fixture
-    def runs(self, monkeypatch):
-        calls = []
-        real = exact._moduli
-
-        def counted(bound):
-            calls.append(bound)
-            return real(bound)
-
-        monkeypatch.setattr(exact, "_moduli", counted)
-        return calls
-
-    @pytest.mark.parametrize("side", ["below", "above"])
-    def test_solution_passes_neighbours_fail(self, pair, runs, side):
-        solution = pair[side == "above"]
-        d, x, y = solution.d, solution.x, solution.y
-        assert exact._solves_pell(x, y, d)
-        assert len(runs) == (side == "above")
-        for dx, dy in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-            assert not exact._solves_pell(x + dx, y + dy, d)
-            with pytest.raises(ValueError, match="does not solve"):
-                PellSolution(d, solution.n, x + dx, y + dy)
-
-
-class TestLadders:
-    """Every run of moduli has pairwise gcds 1 or 3 and an lcm above 2**bound,
-    at both ends of each ladder."""
-
-    def test_mersenne_gcd_identity(self):
-        for a in range(1, 40):
-            for b in range(1, 40):
-                assert math.gcd((1 << a) - 1, (1 << b) - 1) == (1 << math.gcd(a, b)) - 1
-
-    def test_plus_one_gcd_identities(self):
-        for a in range(1, 40, 2):
-            for b in range(1, 40, 2):
-                assert math.gcd((1 << a) + 1, (1 << b) + 1) == (1 << math.gcd(a, b)) + 1
-                assert math.gcd((1 << a) - 1, (1 << b) + 1) == 1
-
-    @pytest.mark.parametrize("rung", range(4))
-    def test_both_ends(self, rung):
-        previous = exact._ladder(exact._LADDER_START << (rung - 1))[1][-1] if rung else 0
-        primes, sums = exact._ladder(exact._LADDER_START << rung)
-        assert len(primes) == exact._LADDER_SIZE
-        assert primes[0] >= exact._LADDER_START << rung
-        for bound in (previous, sums[-1] - 1):
-            run = exact._moduli(bound)
-            assert run == primes[: len(run)]
-            assert all(map(_trial_prime, run)) and len(set(run)) == len(run)
-            assert sum(2 * s - 3 for s in run[:-1]) <= bound < sum(2 * s - 3 for s in run)
-            assert _lcm(_moduli_of(run)) > 1 << bound
-        # Past the ladder's last sum the next ladder serves.
-        assert exact._moduli(sums[-1])[0] >= exact._LADDER_START << (rung + 1)
-
-    def test_first_ladder_moduli_are_pairwise_coprime(self):
-        moduli = [(1 << s) - 1 for s in exact._ladder(exact._LADDER_START)[0]]
-        for i, a in enumerate(moduli):
-            for b in moduli[i + 1 :]:
-                assert math.gcd(a, b) == 1
-
-    def test_first_ladder_moduli_have_pairwise_gcds_1_or_3(self):
-        primes = exact._ladder(exact._LADDER_START)[0]
-        assert min(primes) > 3
-        moduli = _moduli_of(primes)
-        for i, a in enumerate(moduli):
-            assert a % 9
-            for b in moduli[i + 1 :]:
-                assert math.gcd(a, b) == (3 if a % 3 == 0 == b % 3 else 1)
-        assert sum(m % 3 == 0 for m in moduli) == len(primes)
-
-
-class TestNearMiss:
-    """R = x^2 - d*y^2 - 1 nonzero and a multiple of every modulus of its run
-    but one: the one modulus it misses refuses it, wherever it stands, on
-    either side of a pair.
-
-    With x = 2**(b - 1), y = 1 and d = x**2 - 1 + Q, R = -Q and the bound is
-    2b + 2; Q, the lcm of all moduli but one, is below x**2 as long as the
-    bound sits just under a running sum of the ladder."""
-
-    @pytest.mark.parametrize("position", [0, 5, -1])
-    def test_refused(self, position):
-        self._refused(position, "minus")
-
-    @pytest.mark.parametrize("position", [0, 5, -1])
-    def test_refused_on_the_plus_side(self, position):
-        self._refused(position, "plus")
-
-    def _refused(self, position, side):
-        primes, sums = exact._ladder(exact._LADDER_START)
-        i = bisect.bisect_right(sums, 2 * exact._RESIDUE_BITS + 3)
-        bound = (sums[i] - 2) & ~1
-        run = primes[: i + 1]
-        moduli = _moduli_of(run)
-        missed = (1 << run[position]) + (1 if side == "plus" else -1)
-        q = _lcm([m for m in moduli if m != missed])
-        bits = (bound - 2) // 2
-        x, y = 1 << (bits - 1), 1
-        d = x * x - 1 + q
-        assert x.bit_length() >= exact._RESIDUE_BITS
-        assert max(2 * x.bit_length(), d.bit_length() + 2 * y.bit_length()) + 1 == bound
-        assert exact._moduli(bound) == run
-        r = x * x - d * y * y - 1
-        assert r == -q != 0
-        assert [r % m == 0 for m in moduli] == [m != missed for m in moduli]
-        assert not exact._solves_pell(x, y, d)
+        assert exact._solves_pell(x, y, d, w)
+        x, y, w = max(0, x + dx), max(0, y + dy), max(0, w + dw)
+        assert exact._solves_pell(x, y, d, w) == _plain(x, y, d, w)
